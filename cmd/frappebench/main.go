@@ -4,14 +4,9 @@
 //
 // Usage:
 //
-//	frappebench [-scale 0.15] [-seed 20121210] [-quick] [-bench-json FILE]
+//	frappebench [-scale 0.15] [-seed 20121210] [-quick] [-workers N]
+//	            [-no-cache] [-dot FILE] [-lab-store DIR] [-report FILE]
 //	            [-wal-dir DIR] [-wal-replay]
-//	frappebench -serve [-serve-clients 8] [-serve-duration 10s]
-//	            [-serve-apps 32] [-serve-verdict-ttl 5s] [-tracing on|off]
-//	            [-serve-compile off|exact|rff] [-serve-variants]
-//	            [-serve-cluster N] [-bench-json FILE]
-//	frappebench -serve-addr http://127.0.0.1:8400 [-serve-clients 8]
-//	            [-serve-duration 10s] [-serve-apps 32] [-bench-json FILE]
 //
 // -quick skips the classifier cross-validation experiments (the slowest
 // part) and prints only the measurement and forensics results.
@@ -25,31 +20,15 @@
 // reports are byte-identical. -report tees the rendered tables/figures to
 // a file for exactly that comparison.
 //
-// -serve switches to the closed-loop serving benchmark: a watchdog is
-// wired against an in-process loopback stack and hammered with
-// -serve-clients concurrent /check loops for -serve-duration, reporting
-// verdicts/sec, p50/p95/p99 latency and the verdict-cache hit rate.
-// -tracing off disables request tracing for the run (isolating its cost),
-// -serve-compile serves through a compiled inference artifact, and
-// -serve-variants appends uncached, untraced exact-vs-RFF passes so one
-// run records the full inference-path comparison. -serve-cluster N
-// appends a pass driving N replicas behind the internal/cluster front
-// door — the 1-vs-N serving comparison in one run. -serve-addr drives an
-// external endpoint (a running watchdogd or frappelb) instead; the app
-// pool still comes from the locally generated world.
+// -wal-dir logs world generation's ingestion through a durable WAL in that
+// directory; -wal-replay resumes from an existing log there.
 //
-// -bench-json writes per-stage wall-clock timings (world generation,
-// dataset build, classifier training, cross-validation) read back from the
-// process telemetry registry, plus a full metrics snapshot, so successive
-// BENCH_*.json files capture a perf trajectory across PRs. In engine mode
-// it additionally runs a second, fully cached pass over the same store and
-// records a "lab" section: per-stage cold/cached wall times and cache
-// hit/miss counts.
+// Performance is measured by the repository's benchmark, perfbench/
+// (bash perfbench/run.sh; see perfbench/README.md), not by this command.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -60,130 +39,8 @@ import (
 
 	"frappe/internal/experiments"
 	"frappe/internal/lab"
-	"frappe/internal/mypagekeeper"
 	"frappe/internal/telemetry"
-	"frappe/internal/wal"
 )
-
-// benchDoc is the -bench-json document shape.
-type benchDoc struct {
-	Scale float64 `json:"scale"`
-	Seed  int64   `json:"seed"`
-	Quick bool    `json:"quick"`
-	// Workers is the GOMAXPROCS the run used; the parallel engine keeps
-	// results byte-identical across worker counts, so BENCH files differing
-	// only here are directly comparable.
-	Workers int `json:"workers"`
-	// StagesSeconds holds per-stage wall clock, read from the telemetry
-	// registry: generate and build_datasets are last-run gauges; train and
-	// cross_validate are cumulative histogram sums across every Train /
-	// CrossValidate call the experiments made.
-	StagesSeconds map[string]float64 `json:"stages_seconds"`
-	TrainRuns     uint64             `json:"train_runs"`
-	CrossvalRuns  uint64             `json:"crossval_runs"`
-	TotalSeconds  float64            `json:"total_seconds"`
-	// Metrics is the full registry snapshot keyed name{labels}; histograms
-	// appear as {count, sum}.
-	Metrics interface{} `json:"metrics"`
-	// Serve carries the -serve closed-loop benchmark results; nil for the
-	// experiment-suite mode.
-	Serve *serveResult `json:"serve,omitempty"`
-	// Lab carries the DAG engine's cold-vs-cached comparison; nil for the
-	// -no-cache and -serve modes.
-	Lab *labSection `json:"lab,omitempty"`
-}
-
-// labPass summarises one engine pass over the experiment DAG.
-type labPass struct {
-	Seconds float64 `json:"seconds"`
-	Hits    int     `json:"hits"`
-	Misses  int     `json:"misses"`
-	// StageSeconds holds wall clock per executed stage; cache hits are
-	// absent (they cost no stage work).
-	StageSeconds map[string]float64 `json:"stage_seconds"`
-	// StageStatus is hit/ran per stage.
-	StageStatus map[string]string `json:"stage_status"`
-}
-
-// labSection is the -bench-json "lab" block: the cold pass that produced
-// the report and a second, fully cached pass over the same store.
-type labSection struct {
-	Store   string  `json:"store"`
-	Cold    labPass `json:"cold"`
-	Cached  labPass `json:"cached"`
-	Speedup float64 `json:"speedup"`
-}
-
-func labPassFrom(res *lab.Result) labPass {
-	p := labPass{
-		Seconds:      res.ElapsedSeconds,
-		Hits:         res.Hits,
-		Misses:       res.Misses,
-		StageSeconds: map[string]float64{},
-		StageStatus:  map[string]string{},
-	}
-	for name, rep := range res.Stages {
-		p.StageStatus[name] = string(rep.Status)
-		if rep.Status == lab.StatusRan {
-			p.StageSeconds[name] = rep.Seconds
-		}
-	}
-	return p
-}
-
-func writeBenchJSON(path string, scale float64, seed int64, quick bool, total time.Duration, serve *serveResult, labSec *labSection) error {
-	reg := telemetry.Default()
-	trainSum, trainRuns := reg.HistogramSum("frappe_train_duration_seconds")
-	cvSum, cvRuns := reg.HistogramSum("frappe_crossval_duration_seconds")
-	// Build() spans the whole dataset assembly under the "total" gauge; the
-	// DAG path runs Select and CrawlSample as separate stages, so fall back
-	// to summing the sub-stage gauges when "total" was never set.
-	buildDatasets := reg.GaugeValue("frappe_dataset_stage_seconds", "total")
-	if buildDatasets == 0 {
-		for _, sub := range []string{"flag", "whitelist", "select_benign", "crawl"} {
-			buildDatasets += reg.GaugeValue("frappe_dataset_stage_seconds", sub)
-		}
-	}
-	doc := benchDoc{
-		Serve:   serve,
-		Lab:     labSec,
-		Scale:   scale,
-		Seed:    seed,
-		Quick:   quick,
-		Workers: runtime.GOMAXPROCS(0),
-		StagesSeconds: map[string]float64{
-			"generate":       reg.GaugeValue("frappe_synth_stage_seconds", "total"),
-			"build_datasets": buildDatasets,
-			// The ingest stage is the monitor-bound slice of generate:
-			// posts and manual_posts stream through the sharded monitor's
-			// queues, ingest_drain is the queue tail after the producer
-			// finishes (see internal/mypagekeeper).
-			"ingest_posts":        reg.GaugeValue("frappe_synth_stage_seconds", "posts"),
-			"ingest_manual_posts": reg.GaugeValue("frappe_synth_stage_seconds", "manual_posts"),
-			"ingest_drain":        reg.GaugeValue("frappe_synth_stage_seconds", "ingest_drain"),
-			"ingest_total": reg.GaugeValue("frappe_synth_stage_seconds", "posts") +
-				reg.GaugeValue("frappe_synth_stage_seconds", "manual_posts") +
-				reg.GaugeValue("frappe_synth_stage_seconds", "ingest_drain"),
-			"train":          trainSum,
-			"cross_validate": cvSum,
-		},
-		TrainRuns:    trainRuns,
-		CrossvalRuns: cvRuns,
-		TotalSeconds: total.Seconds(),
-		Metrics:      reg.ExpvarFunc()(),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func main() {
 	scale := flag.Float64("scale", experiments.DefaultScale,
@@ -195,24 +52,10 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "run the monolithic sequential path instead of the DAG engine")
 	labStore := flag.String("lab-store", "", "artifact store directory for the DAG engine (default: fresh temp dir, removed at exit)")
 	reportPath := flag.String("report", "", "also write the rendered tables/figures to this file")
-	benchJSON := flag.String("bench-json", "", "write per-stage timings and a metrics snapshot as JSON to this file")
 	walDir := flag.String("wal-dir", "",
-		"write a durable ingestion WAL under world generation to this directory; after the run, replay it back and report integrity + throughput")
+		"write a durable ingestion WAL under world generation to this directory")
 	walReplay := flag.Bool("wal-replay", false,
 		"resume from an existing WAL in -wal-dir: replay it into the monitor and regenerate only past the replayed prefix")
-	serveMode := flag.Bool("serve", false, "run the closed-loop serving benchmark instead of the experiment suite")
-	serveClients := flag.Int("serve-clients", 8, "closed-loop client count for -serve")
-	serveDuration := flag.Duration("serve-duration", 10*time.Second, "measurement window for -serve")
-	serveApps := flag.Int("serve-apps", 32, "distinct live app IDs rotated through by -serve clients")
-	serveTTL := flag.Duration("serve-verdict-ttl", 5*time.Second, "watchdog verdict-cache TTL for -serve (0 = cache off)")
-	tracingFlag := flag.String("tracing", "on", "request tracing for -serve: on or off")
-	serveCompile := flag.String("serve-compile", "off", "serve through a compiled artifact: off, exact or rff (-serve only)")
-	serveVariants := flag.Bool("serve-variants", false,
-		"after the primary -serve pass, run uncached/untraced exact-vs-RFF variant passes")
-	serveAddr := flag.String("serve-addr", "",
-		"drive this external endpoint (a running watchdogd or frappelb) instead of an in-process server; the app pool comes from the locally generated world, so the endpoint must serve the same -scale/-seed world")
-	serveCluster := flag.Int("serve-cluster", 0,
-		"after the primary -serve pass, drive N in-process replicas behind the cluster front door for a 1-vs-N comparison (0 = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSONFlag := flag.Bool("log-json", false, "log as JSON instead of text")
 	flag.Parse()
@@ -222,47 +65,6 @@ func main() {
 	})
 	if *workersFlag > 0 {
 		runtime.GOMAXPROCS(*workersFlag)
-	}
-
-	if *tracingFlag != "on" && *tracingFlag != "off" {
-		fmt.Fprintf(os.Stderr, "unknown -tracing %q (want on or off)\n", *tracingFlag)
-		os.Exit(1)
-	}
-
-	if *serveMode || *serveAddr != "" {
-		start := time.Now()
-		scfg := serveConfig{
-			scale:    *scale,
-			seed:     *seed,
-			clients:  *serveClients,
-			duration: *serveDuration,
-			appPool:  *serveApps,
-			ttl:      *serveTTL,
-			tracing:  *tracingFlag == "on",
-			compile:  *serveCompile,
-			variants: *serveVariants,
-			addr:     *serveAddr,
-			cluster:  *serveCluster,
-		}
-		var (
-			res *serveResult
-			err error
-		)
-		if scfg.addr != "" {
-			res, err = runServeExternal(logger, scfg)
-		} else {
-			res, err = runServe(logger, scfg)
-		}
-		if err != nil {
-			fatal(logger, err)
-		}
-		if *benchJSON != "" {
-			if err := writeBenchJSON(*benchJSON, *scale, *seed, false, time.Since(start), res, nil); err != nil {
-				fatal(logger, err)
-			}
-			fmt.Fprintf(os.Stderr, "serving benchmark written to %s\n", *benchJSON)
-		}
-		return
 	}
 
 	if *walReplay && *walDir == "" {
@@ -280,11 +82,10 @@ func main() {
 
 	start := time.Now()
 	var report string
-	var labSec *labSection
 	if *noCache {
 		report = runMonolithic(ctx, logger, opts, *dotPath)
 	} else {
-		report, labSec = runEngine(ctx, logger, opts, *labStore, *benchJSON != "")
+		report = runEngine(ctx, logger, opts, *labStore)
 	}
 	total := time.Since(start)
 
@@ -294,48 +95,12 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *reportPath)
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, opts.WorldSeed(), *quick, total, nil, labSec); err != nil {
-			fatal(logger, err)
-		}
-		fmt.Fprintf(os.Stderr, "stage timings written to %s\n", *benchJSON)
-	}
-	if *walDir != "" {
-		verifyWAL(logger, *walDir)
-	}
 	fmt.Fprintf(os.Stderr, "total runtime: %v\n", total.Round(time.Millisecond))
 }
 
-// verifyWAL replays the run's ingestion WAL end to end into a throwaway
-// monitor: every record must decode and apply (an integrity pass over the
-// full log), and the pass doubles as a replay-throughput measurement.
-func verifyWAL(logger *slog.Logger, dir string) {
-	l, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		fatal(logger, fmt.Errorf("reopening ingestion WAL: %w", err))
-	}
-	defer l.Close()
-	start := time.Now()
-	stats, err := mypagekeeper.Replay(
-		mypagekeeper.New(mypagekeeper.DefaultClassifierConfig()), l, 0, nil)
-	if err != nil {
-		fatal(logger, fmt.Errorf("WAL replay verification: %w", err))
-	}
-	elapsed := time.Since(start)
-	rate := float64(stats.Records) / elapsed.Seconds()
-	consumers, err := l.Consumers()
-	if err != nil {
-		fatal(logger, fmt.Errorf("listing WAL consumers: %w", err))
-	}
-	fmt.Fprintf(os.Stderr,
-		"wal: %d records replayed clean in %v (%.0f records/sec; %d posts, %d blacklists) consumers=%v\n",
-		stats.Records, elapsed.Round(time.Millisecond), rate,
-		stats.Posts, stats.Blacklists, consumers)
-}
-
 // runMonolithic is the original sequential path: build the world and the
-// datasets, then render every section in order. Kept as the benchmarking
-// and parity baseline for the DAG engine.
+// datasets, then render every section in order. Kept as the parity
+// baseline for the DAG engine and for -dot, which needs the live world.
 func runMonolithic(ctx context.Context, logger *slog.Logger, opts experiments.PipelineOptions, dotPath string) string {
 	start := time.Now()
 	scale := opts.Scale
@@ -370,10 +135,8 @@ func runMonolithic(ctx context.Context, logger *slog.Logger, opts experiments.Pi
 	return report.String()
 }
 
-// runEngine runs the experiment DAG on the lab engine. With benchLab set it
-// runs a second, fully cached pass over the same store and returns the
-// cold-vs-cached comparison for the -bench-json lab section.
-func runEngine(ctx context.Context, logger *slog.Logger, opts experiments.PipelineOptions, storeDir string, benchLab bool) (string, *labSection) {
+// runEngine runs the experiment DAG on the lab engine.
+func runEngine(ctx context.Context, logger *slog.Logger, opts experiments.PipelineOptions, storeDir string) string {
 	if storeDir == "" {
 		tmp, err := os.MkdirTemp("", "frappelab-*")
 		if err != nil {
@@ -386,14 +149,10 @@ func runEngine(ctx context.Context, logger *slog.Logger, opts experiments.Pipeli
 	if err != nil {
 		fatal(logger, err)
 	}
-	run := func() *lab.Result {
-		res, err := lab.Run(ctx, experiments.Pipeline(opts), lab.Options{Store: store, Logger: logger})
-		if err != nil {
-			fatal(logger, err)
-		}
-		return res
+	res, err := lab.Run(ctx, experiments.Pipeline(opts), lab.Options{Store: store, Logger: logger})
+	if err != nil {
+		fatal(logger, err)
 	}
-	res := run()
 	report, ok := res.Artifact("report")
 	if !ok {
 		fatal(logger, fmt.Errorf("engine run produced no report artifact"))
@@ -401,20 +160,7 @@ func runEngine(ctx context.Context, logger *slog.Logger, opts experiments.Pipeli
 	os.Stdout.Write(report)
 	fmt.Fprintf(os.Stderr, "lab: %d stages — %d hits, %d misses in %v (store %s)\n",
 		len(res.Stages), res.Hits, res.Misses, res.Elapsed.Round(time.Millisecond), storeDir)
-
-	if !benchLab {
-		return string(report), nil
-	}
-	cold := labPassFrom(res)
-	cachedRes := run()
-	cached := labPassFrom(cachedRes)
-	sec := &labSection{Store: storeDir, Cold: cold, Cached: cached}
-	if cached.Seconds > 0 {
-		sec.Speedup = cold.Seconds / cached.Seconds
-	}
-	fmt.Fprintf(os.Stderr, "lab cached pass: %d hits, %d misses in %v (%.1fx)\n",
-		cachedRes.Hits, cachedRes.Misses, cachedRes.Elapsed.Round(time.Millisecond), sec.Speedup)
-	return string(report), sec
+	return string(report)
 }
 
 func writeDOT(logger *slog.Logger, r *experiments.Runner, dotPath string) {

@@ -18,8 +18,7 @@
 //   - a per-host circuit breaker (closed → open after N consecutive
 //     failures → half-open probe after a cooldown);
 //   - GET request deduplication (singleflight): concurrent identical
-//     fetches share one upstream round trip;
-//   - an optional TTL response cache for GETs.
+//     fetches share one upstream round trip.
 //
 // Everything is instrumented on an internal/telemetry registry (see
 // telemetry.go for the family list) and stdlib-only.
@@ -94,9 +93,6 @@ type Config struct {
 	// BreakerCooldown is the open-state duration before a half-open
 	// probe. 0 means DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// CacheTTL enables the GET response cache when positive: a terminal
-	// response (status < 500) is served from memory for this long.
-	CacheTTL time.Duration
 	// DisableSingleflight turns off GET request deduplication.
 	DisableSingleflight bool
 	// MaxBodyBytes bounds response body reads. 0 means DefaultMaxBodyBytes.
@@ -113,8 +109,8 @@ type Config struct {
 	// builds, experiment crawls) stays span-free.
 	Tracer *tracing.Tracer
 
-	// Now and Sleep are test seams for the breaker clock, the cache
-	// clock, and the backoff sleeper. Nil means real time.
+	// Now and Sleep are test seams for the breaker clock and the backoff
+	// sleeper. Nil means real time.
 	Now   func() time.Time
 	Sleep func(time.Duration)
 	// JitterSeed seeds the deterministic backoff jitter RNG (0 means 1).
@@ -122,8 +118,8 @@ type Config struct {
 }
 
 // Response is a fully-read HTTP response. The body is already drained
-// and the connection released, so retries, caching, and singleflight
-// sharing are all safe; callers just decode Body.
+// and the connection released, so retries and singleflight sharing are
+// safe; callers just decode Body.
 type Response struct {
 	StatusCode int
 	Status     string
@@ -131,10 +127,8 @@ type Response struct {
 	Body       []byte
 
 	// Attempts is how many network attempts this response cost (0 when
-	// served from cache or a shared singleflight flight).
+	// shared from another caller's singleflight flight).
 	Attempts int
-	// FromCache marks a TTL-cache hit.
-	FromCache bool
 	// Shared marks a response obtained from another caller's in-flight
 	// request via singleflight.
 	Shared bool
@@ -153,8 +147,7 @@ type Client struct {
 	bmu      sync.Mutex
 	breakers map[string]*breaker
 
-	sf    *flightGroup
-	cache *ttlCache
+	sf *flightGroup
 }
 
 // New returns a Client for cfg, normalising zero fields to the package
@@ -203,7 +196,7 @@ func New(cfg Config) *Client {
 	if seed == 0 {
 		seed = 1
 	}
-	c := &Client{
+	return &Client{
 		cfg:      cfg,
 		base:     &http.Client{Timeout: cfg.Timeout, Transport: cfg.Transport},
 		ins:      newInstruments(cfg.Telemetry, cfg.Service),
@@ -211,10 +204,6 @@ func New(cfg Config) *Client {
 		breakers: make(map[string]*breaker),
 		sf:       newFlightGroup(),
 	}
-	if cfg.CacheTTL > 0 {
-		c.cache = newTTLCache(cfg.CacheTTL)
-	}
-	return c
 }
 
 var (
@@ -224,30 +213,29 @@ var (
 
 // Default returns the shared process-wide client the service clients
 // fall back to when not handed an explicit one: default timeout, retry
-// budget, and per-host breakers, no cache.
+// budget, and per-host breakers.
 func Default() *Client {
 	defaultOnce.Do(func() { defaultClient = New(Config{Service: "default"}) })
 	return defaultClient
 }
 
-// Get issues a GET, with retries, breaker, singleflight, and (when
-// enabled) the TTL cache.
+// Get issues a GET, with retries, breaker, and singleflight.
 func (c *Client) Get(ctx context.Context, rawURL string) (*Response, error) {
 	return c.do(ctx, http.MethodGet, rawURL, "", nil)
 }
 
-// Post issues a POST. POSTs bypass the cache and singleflight but share
-// the retry/breaker machinery; every write surface in this repo is
-// idempotent per URL (installs reissue tokens, posts are keyed), so the
-// retry is safe.
+// Post issues a POST. POSTs bypass singleflight but share the
+// retry/breaker machinery; every write surface in this repo is idempotent
+// per URL (installs reissue tokens, posts are keyed), so the retry is
+// safe.
 func (c *Client) Post(ctx context.Context, rawURL, contentType string, body []byte) (*Response, error) {
 	return c.do(ctx, http.MethodPost, rawURL, contentType, body)
 }
 
-// do wraps the cache/singleflight/retry pipeline in one request span when
-// the caller's context carries a trace: the span records the terminal
-// outcome (status, cache hit, shared flight, error) and every retry
-// attempt, backoff wait, and breaker decision nests under it.
+// do wraps the singleflight/retry pipeline in one request span when the
+// caller's context carries a trace: the span records the terminal outcome
+// (status, shared flight, error) and every retry attempt, backoff wait,
+// and breaker decision nests under it.
 func (c *Client) do(ctx context.Context, method, rawURL, contentType string, body []byte) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -267,9 +255,6 @@ func (c *Client) do(ctx context.Context, method, rawURL, contentType string, bod
 		span.SetError(err)
 	default:
 		span.SetAttr(tracing.Int("status", int64(resp.StatusCode)))
-		if resp.FromCache {
-			span.SetAttr(tracing.Bool("cache_hit", true))
-		}
 		if resp.Shared {
 			span.SetAttr(tracing.Bool("shared", true))
 		}
@@ -282,31 +267,16 @@ func (c *Client) do(ctx context.Context, method, rawURL, contentType string, bod
 }
 
 func (c *Client) doPipeline(ctx context.Context, method, rawURL, contentType string, body []byte) (*Response, error) {
-	if method == http.MethodGet {
-		if c.cache != nil {
-			if resp, ok := c.cache.get(rawURL, c.cfg.Now()); ok {
-				c.ins.Cache.With(c.cfg.Service, "hit").Inc()
-				return resp, nil
-			}
-			c.ins.Cache.With(c.cfg.Service, "miss").Inc()
+	if method == http.MethodGet && !c.cfg.DisableSingleflight {
+		resp, err, shared := c.sf.do(ctx, rawURL, func() (*Response, error) {
+			return c.attempts(ctx, method, rawURL, contentType, body)
+		})
+		if shared {
+			c.ins.Shared.With(c.cfg.Service).Inc()
 		}
-		if !c.cfg.DisableSingleflight {
-			resp, err, shared := c.sf.do(ctx, rawURL, func() (*Response, error) {
-				return c.attempts(ctx, method, rawURL, contentType, body)
-			})
-			if shared {
-				c.ins.Shared.With(c.cfg.Service).Inc()
-			} else if err == nil && c.cache != nil {
-				c.cache.put(rawURL, resp, c.cfg.Now())
-			}
-			return resp, err
-		}
+		return resp, err
 	}
-	resp, err := c.attempts(ctx, method, rawURL, contentType, body)
-	if err == nil && method == http.MethodGet && c.cache != nil {
-		c.cache.put(rawURL, resp, c.cfg.Now())
-	}
-	return resp, err
+	return c.attempts(ctx, method, rawURL, contentType, body)
 }
 
 // retryableStatus reports whether a response status is worth another

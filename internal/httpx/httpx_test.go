@@ -338,60 +338,9 @@ func TestSingleflightCollapsesConcurrentGets(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		fmt.Fprint(w, "cached")
-	}))
-	defer srv.Close()
-
-	clock := newFakeClock()
-	reg := telemetry.New()
-	c := New(Config{
-		Service:   "cache",
-		CacheTTL:  time.Minute,
-		Now:       clock.Now,
-		Telemetry: reg,
-	})
-
-	r1, err := c.Get(context.Background(), srv.URL)
-	if err != nil || r1.FromCache {
-		t.Fatalf("first get: %+v, %v", r1, err)
-	}
-	r2, err := c.Get(context.Background(), srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.FromCache || string(r2.Body) != "cached" {
-		t.Errorf("second get not served from cache: %+v", r2)
-	}
-	if got := hits.Load(); got != 1 {
-		t.Errorf("upstream hits = %d, want 1 while fresh", got)
-	}
-
-	clock.Advance(61 * time.Second)
-	r3, err := c.Get(context.Background(), srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.FromCache {
-		t.Error("expired entry served from cache")
-	}
-	if got := hits.Load(); got != 2 {
-		t.Errorf("upstream hits = %d, want 2 after expiry", got)
-	}
-	if got := reg.CounterValue("frappe_httpx_cache_total", "cache", "hit"); got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
-	}
-	if got := reg.CounterValue("frappe_httpx_cache_total", "cache", "miss"); got != 2 {
-		t.Errorf("cache misses = %d, want 2", got)
-	}
-}
-
 // TestConcurrentWorkout drives every layer at once under -race: mixed
-// URLs, cache on, singleflight on, a flaky upstream to exercise retries
-// and the breaker.
+// URLs, singleflight on, a flaky upstream to exercise retries and the
+// breaker.
 func TestConcurrentWorkout(t *testing.T) {
 	var n atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -408,7 +357,6 @@ func TestConcurrentWorkout(t *testing.T) {
 		MaxAttempts: 3,
 		BackoffBase: time.Microsecond,
 		BackoffMax:  10 * time.Microsecond,
-		CacheTTL:    50 * time.Millisecond,
 		Telemetry:   telemetry.New(),
 	})
 	var wg sync.WaitGroup

@@ -9,7 +9,6 @@ import "frappe/internal/telemetry"
 //	frappe_httpx_retries_total{service}               attempts beyond the first
 //	frappe_httpx_attempt_duration_seconds{service}    per-attempt latency histogram
 //	frappe_httpx_breaker_state{service,host}          0 closed / 1 half-open / 2 open
-//	frappe_httpx_cache_total{service,result}          hit / miss
 //	frappe_httpx_singleflight_shared_total{service}   responses shared from another flight
 type instruments struct {
 	Requests        *telemetry.CounterVec
@@ -17,7 +16,6 @@ type instruments struct {
 	Retries         *telemetry.CounterVec
 	AttemptDuration *telemetry.HistogramVec
 	BreakerState    *telemetry.GaugeVec
-	Cache           *telemetry.CounterVec
 	Shared          *telemetry.CounterVec
 }
 
@@ -36,8 +34,6 @@ func newInstruments(reg *telemetry.Registry, service string) *instruments {
 			"Per-attempt latency in seconds, by service.", nil, "service"),
 		BreakerState: reg.Gauge("frappe_httpx_breaker_state",
 			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", "service", "host"),
-		Cache: reg.Counter("frappe_httpx_cache_total",
-			"TTL response cache lookups, by service and result.", "service", "result"),
 		Shared: reg.Counter("frappe_httpx_singleflight_shared_total",
 			"GET responses shared from a concurrent identical request, by service.", "service"),
 	}

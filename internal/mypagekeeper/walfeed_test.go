@@ -87,6 +87,27 @@ func feedIngester(ing *Ingester, events []streamEvent) {
 	}
 }
 
+// newSubscribed returns a monitor subscribed to users [0,80), genStream's
+// subscriber range, as shard_test.go's suites use it: an unsubscribed
+// monitor drops every post, and views compared without posts prove
+// nothing.
+func newSubscribed() *Monitor {
+	m := New(DefaultClassifierConfig())
+	m.SubscribeRange(0, 80)
+	return m
+}
+
+// oracleView is viewOf for an oracle monitor, failing the test when the
+// oracle observed no posts, so an empty comparison cannot pass silently.
+func oracleView(t *testing.T, m *Monitor) monitorView {
+	t.Helper()
+	v := viewOf(m)
+	if v.stats.PostsObserved == 0 {
+		t.Fatal("oracle monitor observed no posts")
+	}
+	return v
+}
+
 // applySerialPrefix applies the first n events serially — the oracle for
 // "the WAL holds exactly the logged call prefix".
 func applySerialPrefix(m *Monitor, events []streamEvent, n int) {
@@ -99,9 +120,9 @@ func applySerialPrefix(m *Monitor, events []streamEvent, n int) {
 // oracle, for every worker count.
 func TestWALReplayEquivalence(t *testing.T) {
 	events := genStream(3000)
-	serial := New(DefaultClassifierConfig())
+	serial := newSubscribed()
 	applySerial(serial, events)
-	want := viewOf(serial)
+	want := oracleView(t, serial)
 
 	for _, workers := range []int{1, 4} {
 		dir := t.TempDir()
@@ -109,7 +130,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := New(DefaultClassifierConfig())
+		live := newSubscribed()
 		ing := live.StartIngestWith(IngestConfig{Workers: workers, WAL: l})
 		feedIngester(ing, events)
 		if err := ing.Close(); err != nil {
@@ -120,7 +141,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: WAL holds %d records, want %d (one per call)", workers, got, len(events))
 		}
 
-		replayed := New(DefaultClassifierConfig())
+		replayed := newSubscribed()
 		stats, err := Replay(replayed, l, 0, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: Replay: %v", workers, err)
@@ -142,9 +163,9 @@ func TestWALReplayEquivalence(t *testing.T) {
 // state matches the uninterrupted serial run.
 func TestWALResumeSkipEvents(t *testing.T) {
 	events := genStream(2500)
-	serial := New(DefaultClassifierConfig())
+	serial := newSubscribed()
 	applySerial(serial, events)
-	want := viewOf(serial)
+	want := oracleView(t, serial)
 
 	for _, cut := range []int{0, 1, 1234, len(events) - 1, len(events)} {
 		dir := t.TempDir()
@@ -152,7 +173,7 @@ func TestWALResumeSkipEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := New(DefaultClassifierConfig())
+		first := newSubscribed()
 		ing := first.StartIngestWith(IngestConfig{Workers: 4, WAL: l})
 		feedIngester(ing, events[:cut])
 		if err := ing.Close(); err != nil {
@@ -168,7 +189,7 @@ func TestWALResumeSkipEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed := New(DefaultClassifierConfig())
+		resumed := newSubscribed()
 		stats, err := Replay(resumed, l2, 0, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: Replay: %v", cut, err)
@@ -198,9 +219,9 @@ func TestWALResumeSkipEvents(t *testing.T) {
 // duplicated records, and the monitor must match the serial oracle.
 func TestWALResumeSkipLogOnly(t *testing.T) {
 	events := genStream(2000)
-	serial := New(DefaultClassifierConfig())
+	serial := newSubscribed()
 	applySerial(serial, events)
-	want := viewOf(serial)
+	want := oracleView(t, serial)
 
 	for _, cut := range []int{0, 777, len(events)} {
 		dir := t.TempDir()
@@ -208,7 +229,7 @@ func TestWALResumeSkipLogOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := New(DefaultClassifierConfig())
+		first := newSubscribed()
 		ing := first.StartIngestWith(IngestConfig{Workers: 3, WAL: l})
 		feedIngester(ing, events[:cut])
 		if err := ing.Close(); err != nil {
@@ -222,7 +243,7 @@ func TestWALResumeSkipLogOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed := New(DefaultClassifierConfig())
+		resumed := newSubscribed()
 		ing2 := resumed.StartIngestWith(IngestConfig{
 			Workers: 4, WAL: l2, SkipEvents: l2.End(), SkipLogOnly: true,
 		})
@@ -235,7 +256,7 @@ func TestWALResumeSkipLogOnly(t *testing.T) {
 			t.Fatalf("cut=%d: WAL holds %d records, want %d", cut, got, len(events))
 		}
 		// And the completed log still replays to the same state.
-		replayed := New(DefaultClassifierConfig())
+		replayed := newSubscribed()
 		if _, err := Replay(replayed, l2, 0, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +376,7 @@ func TestCrashIngestHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(DefaultClassifierConfig())
+	m := newSubscribed()
 	ing := m.StartIngestWith(IngestConfig{Workers: 4, WAL: l})
 	events := genStream(crashStreamSize)
 	for i, e := range events {
@@ -427,7 +448,7 @@ func TestCrashRecoveryAfterSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
-	recovered := New(DefaultClassifierConfig())
+	recovered := newSubscribed()
 	stats, err := Replay(recovered, l, 0, nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -442,9 +463,9 @@ func TestCrashRecoveryAfterSIGKILL(t *testing.T) {
 
 	// The log is the exact call stream, so the recovered state must match
 	// the serial oracle over precisely that prefix.
-	prefix := New(DefaultClassifierConfig())
+	prefix := newSubscribed()
 	applySerialPrefix(prefix, events, int(stats.Records))
-	requireEqualViews(t, viewOf(prefix), viewOf(recovered), "replayed crash prefix")
+	requireEqualViews(t, oracleView(t, prefix), viewOf(recovered), "replayed crash prefix")
 
 	// Resume: regenerate the stream, skip the replayed prefix, finish.
 	ing := recovered.StartIngestWith(IngestConfig{Workers: 3, WAL: l, SkipEvents: stats.Records})
@@ -459,7 +480,7 @@ func TestCrashRecoveryAfterSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uninterrupted := New(DefaultClassifierConfig())
+	uninterrupted := newSubscribed()
 	applySerial(uninterrupted, events)
-	requireEqualViews(t, viewOf(uninterrupted), viewOf(recovered), "crash-resumed monitor")
+	requireEqualViews(t, oracleView(t, uninterrupted), viewOf(recovered), "crash-resumed monitor")
 }

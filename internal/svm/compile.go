@@ -9,10 +9,10 @@ import (
 // This file is the offline "compile" step that transforms a trained Model
 // into a serving form optimised for single-verdict latency. Two modes:
 //
-//   - CompileExact formalises the lazy predict cache (predict.go) as a
-//     persistent artifact: the support vectors flattened row-major with
-//     their squared norms precomputed. Decision values are bit-identical
-//     to Model.DecisionValue.
+//   - CompileExact flattens the support vectors row-major with their
+//     squared norms precomputed. It is the form Model itself scores
+//     through (predict.go), so its decision values are Model's, bit for
+//     bit; as a persistent artifact it rides the classifier payload.
 //   - CompileRFF replaces the RBF kernel expansion with an explicit
 //     random-Fourier-feature map (see rff.go): the per-support-vector sum
 //     collapses into RFFDim cosine features with precomputed output

@@ -60,6 +60,10 @@ func TestFastCos(t *testing.T) {
 	}
 }
 
+// TestCompileExactMatchesModel checks Model and its exact compiled form
+// bit for bit against a reference summed here, straight over m.SV in SV
+// order — Model scores through a CompiledModel itself, so comparing the
+// two with each other alone would prove nothing.
 func TestCompileExactMatchesModel(t *testing.T) {
 	m, xs, _ := trainBlobs(t, 3, 200, 2)
 	c, err := Compile(m, CompileOptions{Mode: CompileExact})
@@ -69,15 +73,26 @@ func TestCompileExactMatchesModel(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	for _, x := range xs {
-		if got, want := c.DecisionValue(x), m.DecisionValue(x); got != want {
-			t.Fatalf("exact compiled decision %v != model %v at %v", got, want, x)
+	reference := func(x []float64) float64 {
+		s := m.B
+		for i, sv := range m.SV {
+			s += m.Coef[i] * m.Kernel.EvalNorm(sv, x, SqNorm(sv), SqNorm(x))
 		}
+		return s
 	}
-	batch := c.DecisionValues(xs)
+	modelBatch := m.DecisionValues(xs)
+	compiledBatch := c.DecisionValues(xs)
 	for i, x := range xs {
-		if batch[i] != m.DecisionValue(x) {
-			t.Fatalf("batch row %d diverges from model", i)
+		want := reference(x)
+		if got := m.DecisionValue(x); got != want {
+			t.Fatalf("model decision %v != reference %v at %v", got, want, x)
+		}
+		if got := c.DecisionValue(x); got != want {
+			t.Fatalf("exact compiled decision %v != reference %v at %v", got, want, x)
+		}
+		if modelBatch[i] != want || compiledBatch[i] != want {
+			t.Fatalf("batch row %d diverges from reference (model %v, compiled %v, want %v)",
+				i, modelBatch[i], compiledBatch[i], want)
 		}
 	}
 }
@@ -345,9 +360,9 @@ func TestEmptyBatchLeavesMetricsUntouched(t *testing.T) {
 	}
 }
 
-// TestCorruptModelDegradesToBias pins the ensurePredictCache guard: a
-// gob-loaded model with zero-dimensional or ragged support vectors must
-// answer with the bias, not index out of bounds.
+// TestCorruptModelDegradesToBias pins the guard in Model's exact form: a
+// gob-loaded model with zero-dimensional or ragged support vectors does
+// not compile, so it must answer with the bias, not index out of bounds.
 func TestCorruptModelDegradesToBias(t *testing.T) {
 	for name, m := range map[string]*Model{
 		"zero-dim": {SV: [][]float64{{}, {}}, Coef: []float64{1, -1}, B: 0.5, Kernel: Kernel{Type: RBF, Gamma: 1}},

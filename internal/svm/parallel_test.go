@@ -88,8 +88,8 @@ func TestDecisionValuesMatchScalar(t *testing.T) {
 	}
 }
 
-// The prediction cache is built lazily via sync.Once, so a model that
-// arrived over gob (which drops the unexported cache fields) must predict
+// Model's exact compiled form is built lazily via sync.Once, so a model
+// that arrived over gob (which drops the unexported fields) must predict
 // identically to the model that trained.
 func TestDecisionValuesSurviveGobRoundTrip(t *testing.T) {
 	xs, ys := blobs(13, 120)
@@ -120,7 +120,7 @@ func TestDecisionValuesEmptyBatch(t *testing.T) {
 	}
 }
 
-// Race workout: concurrent first-use of the lazy prediction cache plus
+// Race workout: concurrent first-use of the lazy exact compiled form plus
 // concurrent training (each Train runs its own parallel precompute pool).
 // Run with -race to make this meaningful; it is cheap enough to always run.
 func TestParallelPredictAndTrainRace(t *testing.T) {

@@ -6,60 +6,29 @@ import (
 	"frappe/internal/workerpool"
 )
 
-// ensurePredictCache flattens the support vectors into one row-major
-// backing array and precomputes their squared norms, so every prediction
-// costs one dot product per support vector (the RBF distance is recovered
-// from the cached norms) over contiguous memory. Built once, lazily, so
-// models arriving via gob Load get it too.
-//
-// A corrupt gob load can present zero-dimensional or ragged support
-// vectors; those leave the cache unbuilt (predOK stays false) and every
-// decision value degrades to the bias instead of indexing out of bounds.
-func (m *Model) ensurePredictCache() {
-	m.predOnce.Do(func() {
-		if len(m.SV) == 0 {
-			return
+// exactModel returns the model's exact compiled form (CompileExact: the
+// support vectors flattened row-major with their squared norms), built
+// once on first use. A model that does not compile — a corrupt gob load
+// with zero-dimensional or ragged support vectors, or mismatched
+// coefficients — yields nil, and every decision value degrades to the
+// bias instead of indexing out of bounds.
+func (m *Model) exactModel() *CompiledModel {
+	m.exactOnce.Do(func() {
+		if c, err := Compile(m, CompileOptions{Mode: CompileExact}); err == nil {
+			m.exact = c
 		}
-		dim := len(m.SV[0])
-		if dim == 0 || len(m.Coef) != len(m.SV) {
-			return
-		}
-		for _, sv := range m.SV {
-			if len(sv) != dim {
-				return
-			}
-		}
-		m.svDim = dim
-		m.svFlat = make([]float64, len(m.SV)*dim)
-		m.svNorms = make([]float64, len(m.SV))
-		for i, sv := range m.SV {
-			copy(m.svFlat[i*dim:(i+1)*dim], sv)
-			m.svNorms[i] = SqNorm(sv)
-		}
-		m.predOK = true
 	})
-}
-
-// decisionValueNorm computes f(x) given x's precomputed squared norm,
-// walking the flattened support-vector matrix. Summation is in SV order, so
-// single and batch prediction agree bit-for-bit.
-func (m *Model) decisionValueNorm(x []float64, xNorm float64) float64 {
-	s := m.B
-	d := m.svDim
-	for i := range m.svNorms {
-		s += m.Coef[i] * m.Kernel.EvalNorm(m.svFlat[i*d:i*d+d], x, m.svNorms[i], xNorm)
-	}
-	return s
+	return m.exact
 }
 
 // DecisionValue returns f(x) = sum coef_i K(sv_i, x) + b. Positive values
 // classify as the +1 class.
 func (m *Model) DecisionValue(x []float64) float64 {
-	m.ensurePredictCache()
-	if !m.predOK {
+	c := m.exactModel()
+	if c == nil {
 		return m.B
 	}
-	return m.decisionValueNorm(x, SqNorm(x))
+	return c.DecisionValue(x)
 }
 
 // DecisionValues computes f(x) for every row of xs, fanning the rows out
@@ -74,9 +43,9 @@ func (m *Model) DecisionValues(xs [][]float64) []float64 {
 		return []float64{}
 	}
 	start := time.Now()
-	m.ensurePredictCache()
+	c := m.exactModel()
 	out := make([]float64, len(xs))
-	if !m.predOK {
+	if c == nil {
 		for i := range out {
 			out[i] = m.B
 		}
@@ -85,7 +54,7 @@ func (m *Model) DecisionValues(xs [][]float64) []float64 {
 	workers := workerpool.Clamp(0, len(xs))
 	batchPredictWorkers.With().Set(float64(workers))
 	workerpool.Run(len(xs), workers, func(i int) {
-		out[i] = m.decisionValueNorm(xs[i], SqNorm(xs[i]))
+		out[i] = c.DecisionValue(xs[i])
 	})
 	batchPredictDuration.With().Observe(time.Since(start).Seconds())
 	return out

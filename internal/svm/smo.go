@@ -53,9 +53,9 @@ func DefaultParams(dim int) Params {
 }
 
 // Model is a trained SVM. Predictions depend only on the support vectors.
-// The unexported fields are a lazily built prediction cache (flattened
-// support-vector matrix plus squared norms, see predict.go); they are not
-// serialised and rebuild on first use after Load.
+// The unexported fields hold the exact compiled form every prediction
+// scores through (see predict.go); they are not serialised and are built
+// on first use, so models arriving via gob Load get them too.
 type Model struct {
 	Kernel  Kernel
 	SV      [][]float64 // support vectors
@@ -63,11 +63,8 @@ type Model struct {
 	B       float64     // bias
 	Classes [2]float64  // label values for -1 and +1 sides (for reporting)
 
-	predOnce sync.Once
-	predOK   bool      // cache built and structurally sound
-	svFlat   []float64 // SV rows flattened row-major, cache-friendly
-	svNorms  []float64 // per-SV ‖sv‖² for EvalNorm
-	svDim    int
+	exactOnce sync.Once
+	exact     *CompiledModel // nil when the model does not compile
 }
 
 // NumSV returns the number of support vectors.

@@ -208,15 +208,18 @@ func TestTraceFollowsCheckAcrossStack(t *testing.T) {
 	}
 }
 
-// TestCheckNon200LogsTraceID: a non-200 /check logs through the
-// trace-aware slog handler, so the line carries the same trace_id the
-// client received — the operator's pivot from a log line to its trace.
+// TestCheckNon200LogsTraceID: a failed /check (502 here: every Graph API
+// call errors) logs through the trace-aware slog handler, so the line
+// carries the same trace_id the client received — the operator's pivot
+// from a log line to its trace. A deleted app's 404 is a verdict, not a
+// failure, and logs no such line.
 func TestCheckNon200LogsTraceID(t *testing.T) {
 	w, _ := sharedWorld(t)
 	clf := trainedClassifier(t)
-
-	// Find an app deleted from the graph: /check answers 404 (a verdict)
-	// and the handler logs the non-200.
+	ids := liveApps(t, 1)
+	if len(ids) == 0 {
+		t.Skip("world has no live apps")
+	}
 	var deleted string
 	for _, id := range append(append([]string{}, w.MaliciousIDs...), w.BenignIDs...) {
 		if _, err := w.Platform.Lookup(id); err != nil {
@@ -228,6 +231,12 @@ func TestCheckNon200LogsTraceID(t *testing.T) {
 		t.Skip("world has no deleted apps")
 	}
 
+	var buf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(telemetry.NewLogger(telemetry.LogConfig{Component: "watchdogd-test", Output: &buf}))
+	defer slog.SetDefault(prev)
+
+	// The deletion verdict: 404, and no warning.
 	st, err := StartServices(w)
 	if err != nil {
 		t.Fatal(err)
@@ -239,19 +248,40 @@ func TestCheckNon200LogsTraceID(t *testing.T) {
 	}
 	srv := httptest.NewServer(WatchdogHandler(wd, 10*time.Second))
 	defer srv.Close()
-
-	var buf bytes.Buffer
-	prev := slog.Default()
-	slog.SetDefault(telemetry.NewLogger(telemetry.LogConfig{Component: "watchdogd-test", Output: &buf}))
-	defer slog.SetDefault(prev)
-
-	resp, a, _ := checkOnce(t, srv.URL, deleted)
+	resp, _, _ := checkOnce(t, srv.URL, deleted)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/check for deleted app = %d, want 404", resp.StatusCode)
 	}
+	if logged := buf.String(); strings.Contains(logged, "non-OK assessment") {
+		t.Fatalf("deletion verdict logged a warning: %q", logged)
+	}
+
+	// The failed check: 502, warned with its trace_id.
+	faulty, err := StartServicesWithFaults(w, &FaultSpec{
+		Seed:       3,
+		PerService: map[string]ServiceFaults{"graph": {ErrorRate: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faulty.Close()
+	faultyWD, err := NewWatchdogWith(clf, WatchdogConfig{
+		GraphURL: faulty.GraphURL,
+		WOTURL:   faulty.WOTURL,
+		Retries:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultySrv := httptest.NewServer(WatchdogHandler(faultyWD, 10*time.Second))
+	defer faultySrv.Close()
+	resp, a, _ := checkOnce(t, faultySrv.URL, ids[0])
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("/check against a failing Graph API = %d, want 502", resp.StatusCode)
+	}
 	logged := buf.String()
 	if !strings.Contains(logged, "non-OK assessment") {
-		t.Fatalf("non-200 /check logged nothing: %q", logged)
+		t.Fatalf("failed /check logged nothing: %q", logged)
 	}
 	if !strings.Contains(logged, "trace_id="+a.TraceID) {
 		t.Errorf("log line lacks trace_id=%s: %q", a.TraceID, logged)

@@ -296,10 +296,12 @@ func NewWatchdogHandler(w *Watchdog, cfg HandlerConfig) http.Handler {
 		case CauseCanceled:
 			status = http.StatusGatewayTimeout
 		}
-		if status != http.StatusOK {
-			// The ctx carries the request span, so the trace-aware slog
-			// handler stamps trace_id — an operator can jump from this
-			// line straight to the span tree at /debug/traces.
+		if status >= http.StatusInternalServerError {
+			// A failed check (502/503/504) warns; a deletion's 404 is a
+			// verdict and is counted, not logged. The ctx carries the
+			// request span, so the trace-aware slog handler stamps
+			// trace_id — an operator can jump from this line straight to
+			// the span tree at /debug/traces.
 			slog.Default().WarnContext(ctx, "watchdog: non-OK assessment",
 				"app", appID, "status", status, "cause", a.Cause, "err", a.Error)
 		}
