@@ -132,14 +132,6 @@ func New(cfg Config) (*Cluster, error) {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	if cfg.Transport == nil {
-		// The default transport keeps only 2 idle connections per host —
-		// a proxy fanning a whole client population into 3 member hosts
-		// would churn TCP handshakes under any real concurrency.
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 64
-		cfg.Transport = t
-	}
 	c := &Cluster{
 		cfg:    cfg,
 		ring:   NewRing(cfg.VirtualNodes),

@@ -36,8 +36,8 @@ type Ring struct {
 	vnodes int
 
 	mu      sync.RWMutex
-	hashes  []uint64          // sorted vnode positions
-	owners  []string          // owners[i] owns hashes[i]
+	hashes  []uint64 // sorted vnode positions
+	owners  []string // owners[i] owns hashes[i]
 	members map[string]struct{}
 }
 
@@ -195,7 +195,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if n == 0 {
 		return shares
 	}
-	const whole = float64(1 << 63) * 2 // 2^64 as float64
+	const whole = float64(1<<63) * 2 // 2^64 as float64
 	for i := 0; i < n; i++ {
 		// hashes[i]'s owner covers the arc (hashes[i-1], hashes[i]].
 		prev := r.hashes[(i+n-1)%n]

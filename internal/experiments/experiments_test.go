@@ -175,6 +175,9 @@ func TestFig1(t *testing.T) {
 	if res.Summary.DegreeOver10 <= 0 {
 		t.Error("no high-degree colluders")
 	}
+	if res.Summary.Promoters == 0 {
+		t.Error("no promoters (Fig. 13's role split)")
+	}
 	t.Log(res.Render())
 }
 

@@ -2,8 +2,8 @@
 // evaluation from a synthetic world. Each experiment returns typed rows
 // plus a Render() string shaped like the original table, and records the
 // paper's headline claim next to the measured value so EXPERIMENTS.md can
-// be produced mechanically. cmd/frappebench and the repository-level
-// benchmarks both drive this package.
+// be produced mechanically. Pipeline is the one way the report is
+// rendered: cmd/frappelab runs it on the internal/lab engine.
 package experiments
 
 import (
@@ -28,18 +28,16 @@ type Runner struct {
 	World *synth.World
 	Data  *datasets.Datasets
 	Seed  int64
+
+	// full is the train stage's §5.3 model, Table 8's input in the
+	// pipeline.
+	full *core.Classifier
 }
 
 // New generates a world at the given scale and assembles the datasets.
 // The context cancels the dataset build (and with it the crawl).
 func New(ctx context.Context, scale float64, seed int64) (*Runner, error) {
-	return NewFromOptions(ctx, PipelineOptions{Scale: scale, Seed: seed})
-}
-
-// NewFromOptions is New with the full pipeline options applied — scale and
-// seed, plus WAL placement for a durable or resumed generation.
-func NewFromOptions(ctx context.Context, opts PipelineOptions) (*Runner, error) {
-	cfg := opts.synthConfig()
+	cfg := PipelineOptions{Scale: scale, Seed: seed}.synthConfig()
 	w := synth.Generate(cfg)
 	b := &datasets.Builder{World: w}
 	d, err := b.Build(ctx)

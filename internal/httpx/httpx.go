@@ -97,8 +97,8 @@ type Config struct {
 	DisableSingleflight bool
 	// MaxBodyBytes bounds response body reads. 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// Transport is the underlying RoundTripper (default
-	// http.DefaultTransport). Tests inject fakes here.
+	// Transport is the underlying RoundTripper (default: the package's
+	// shared pooledTransport). Tests inject fakes here.
 	Transport http.RoundTripper
 	// Telemetry is the registry the client records into; nil means the
 	// process default.
@@ -150,11 +150,25 @@ type Client struct {
 	sf *flightGroup
 }
 
+// pooledTransport is every client's default RoundTripper: one clone of
+// http.DefaultTransport keeping up to 64 idle connections per host. The
+// stock transport keeps 2, so a client with more concurrent requests to
+// one host than that closes and re-dials connections instead of reusing
+// them.
+var pooledTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	return t
+}()
+
 // New returns a Client for cfg, normalising zero fields to the package
 // defaults.
 func New(cfg Config) *Client {
 	if cfg.Service == "" {
 		cfg.Service = "http"
+	}
+	if cfg.Transport == nil {
+		cfg.Transport = pooledTransport
 	}
 	switch {
 	case cfg.Timeout == 0:
@@ -292,6 +306,7 @@ func (c *Client) attempts(ctx context.Context, method, rawURL, contentType strin
 	br := c.breakerFor(rawURL)
 	var resp *Response
 	var lastErr error
+	made := 0
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			c.ins.Retries.With(svc).Inc()
@@ -313,6 +328,7 @@ func (c *Client) attempts(ctx context.Context, method, rawURL, contentType strin
 			return nil, fmt.Errorf("httpx: %s %s: %w", svc, rawURL, ErrCircuitOpen)
 		}
 		c.ins.Attempts.With(svc).Inc()
+		made = attempt
 		actx, aspan := c.cfg.Tracer.StartChild(ctx, "httpx.attempt")
 		aspan.SetAttr(tracing.Int("attempt", int64(attempt)))
 		start := time.Now()
@@ -358,7 +374,7 @@ func (c *Client) attempts(ctx context.Context, method, rawURL, contentType strin
 		return resp, nil
 	}
 	c.ins.Requests.With(svc, "error").Inc()
-	return nil, fmt.Errorf("httpx: %s: giving up after %d attempts: %w", svc, c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("httpx: %s: giving up after attempt %d: %w", svc, made, lastErr)
 }
 
 // once performs a single network attempt and drains the body.

@@ -33,7 +33,8 @@ type Assessment struct {
 	Deleted bool   `json:"deleted,omitempty"`
 	Error   string `json:"error,omitempty"`
 	// Cause classifies why an assessment is not a plain verdict: deleted,
-	// breaker_open, or upstream. Empty for a clean classification.
+	// breaker_open, upstream, or canceled. Empty for a clean
+	// classification.
 	Cause string `json:"cause,omitempty"`
 	// Cached marks verdicts served from the TTL cache or by joining
 	// another request's in-flight crawl.
@@ -61,15 +62,15 @@ const (
 	// CauseUpstream: the upstream crawl failed transiently (HTTP 502).
 	CauseUpstream = "upstream"
 	// CauseCanceled: the caller's own context was canceled or timed out
-	// while waiting for a verdict (HTTP 504). Not an upstream failure —
-	// the in-flight crawl it was waiting on may well still succeed for
-	// the request that owns it.
+	// before it had a verdict, during its own crawl or while waiting on
+	// another request's (HTTP 504). Not an upstream failure: the same
+	// crawl may well succeed for a caller with time left.
 	CauseCanceled = "canceled"
 )
 
 // Watchdog assessment metrics (process default registry):
 //
-//	frappe_assessments_total{outcome}   ok / deleted / breaker_open / error
+//	frappe_assessments_total{outcome}   ok / deleted / breaker_open / canceled / error
 //	frappe_rank_fanout_width            workers used by the last Rank call
 var (
 	assessTotal = telemetry.Default().Counter("frappe_assessments_total",
@@ -126,6 +127,11 @@ func (w *Watchdog) assess(ctx context.Context, sm *servingModel, appID string) A
 	case errors.Is(err, httpx.ErrCircuitOpen):
 		assessTotal.With("breaker_open").Inc()
 		return Assessment{AppID: appID, Cause: CauseBreakerOpen, Error: err.Error(), ModelVersion: modelID}
+	case err != nil && ctx.Err() != nil:
+		// The caller's own deadline or cancellation ended the crawl: a
+		// 504, not the upstream's failure.
+		assessTotal.With("canceled").Inc()
+		return Assessment{AppID: appID, Cause: CauseCanceled, Error: err.Error(), ModelVersion: modelID}
 	case err != nil:
 		assessTotal.With("error").Inc()
 		return Assessment{AppID: appID, Cause: CauseUpstream, Error: err.Error(), ModelVersion: modelID}
@@ -225,10 +231,10 @@ type HandlerConfig struct {
 // 404 (still a verdict — the body carries the malicious-by-deletion
 // assessment); an open upstream circuit breaker is 503 with a Retry-After;
 // any other upstream failure is 502; a request that ran out its own
-// deadline waiting on a shared in-flight assessment is 504. /rank always
-// returns 200 and carries per-row errors, matching its don't-abort
-// contract. All endpoints are
-// instrumented as service "watchdog" on the default telemetry registry.
+// deadline, crawling or waiting on a shared in-flight assessment, is 504.
+// /rank always returns 200 and carries per-row errors, matching its
+// don't-abort contract. All endpoints are instrumented as service
+// "watchdog" on the default telemetry registry.
 func WatchdogHandler(w *Watchdog, timeout time.Duration) http.Handler {
 	return NewWatchdogHandler(w, HandlerConfig{Timeout: timeout})
 }
