@@ -9,7 +9,7 @@
 // Usage:
 //
 //	frappeserve [-scale 0.02] [-seed ...] [-model frappe-model.gob]
-//	            [-registry DIR] [-wal-dir DIR] [-wal-replay]
+//	            [-registry DIR] [-wal-dir DIR]
 //	            [-debug-addr 127.0.0.1:0] [-log-level info] [-log-json]
 //	            [-fault-error-rate 0] [-fault-hang-rate 0]
 //	            [-fault-latency 0] [-fault-seed 1]
@@ -17,6 +17,11 @@
 // The fault flags inject deterministic, seeded failures into every served
 // service (502s, hangs, latency) — the paper's hostile crawl environment
 // on demand, for exercising client-side retries and circuit breakers.
+//
+// -wal-dir logs world generation's ingestion through a durable WAL in DIR,
+// resuming from whatever log DIR already holds (a torn tail included): the
+// events it has are applied but not logged again, so a restarted server
+// never doubles the log, and with no log there it writes a fresh one.
 //
 // The debug listener serves /metrics (Prometheus text format),
 // /debug/vars (expvar) and /debug/pprof; its resolved address is printed
@@ -52,9 +57,7 @@ func main() {
 	faultLatency := flag.Duration("fault-latency", 0, "latency added to every service request")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection RNG")
 	walDir := flag.String("wal-dir", "",
-		"write a durable ingestion WAL under world generation to this directory (empty = no WAL)")
-	walReplay := flag.Bool("wal-replay", false,
-		"replay an existing WAL in -wal-dir before generating, resuming past the replayed prefix")
+		"write a durable ingestion WAL under world generation to this directory, resuming from any log it holds (empty = no WAL)")
 	flag.Parse()
 
 	logger := telemetry.SetupProcessLogger(telemetry.LogConfig{
@@ -65,17 +68,11 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *walReplay && *walDir == "" {
-		logger.Error("-wal-replay requires -wal-dir")
-		os.Exit(1)
-	}
 	cfg.WALDir = *walDir
-	cfg.WALResume = *walReplay
-	logger.Info("generating world", "scale", *scale, "seed", cfg.Seed,
-		"wal_dir", *walDir, "wal_replay", *walReplay)
+	logger.Info("generating world", "scale", *scale, "seed", cfg.Seed, "wal_dir", *walDir)
 	w := frappe.GenerateWorld(cfg)
-	if *walReplay {
-		logger.Info("WAL resume complete", "already_logged", w.WALResumed)
+	if *walDir != "" {
+		logger.Info("ingestion WAL complete", "already_logged", w.WALResumed)
 	}
 
 	d, err := frappe.BuildDatasets(context.Background(), w)

@@ -50,6 +50,13 @@ func (k Kind) String() string {
 	}
 }
 
+// fetchSpan names each surface's fetch span.
+var fetchSpan = [...]string{
+	KindSummary: "crawl.summary",
+	KindFeed:    "crawl.feed",
+	KindInstall: "crawl.install",
+}
+
 // ErrNotCrawlable marks apps whose redirection flow defeats the crawler.
 var ErrNotCrawlable = errors.New("crawler: install flow not automatable")
 
@@ -177,7 +184,7 @@ feed:
 // observes the result.
 func (c *Crawler) fetch(ctx context.Context, kind Kind, fn func(context.Context) error) error {
 	c.ins.Attempts.With(kind.String()).Inc()
-	sctx, span := tracing.Default().StartChild(ctx, "crawl."+kind.String())
+	sctx, span := tracing.Default().StartChild(ctx, fetchSpan[kind])
 	err := fn(sctx)
 	if err != nil && !errors.Is(err, graphapi.ErrDeleted) {
 		span.SetError(err)

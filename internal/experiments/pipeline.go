@@ -35,12 +35,22 @@ type PipelineOptions struct {
 	Table5Ratios []int
 	// WALDir puts a durable write-ahead log under world generation's
 	// ingestion stream (synth.Config.WALDir), resuming from any log the
-	// directory already holds (synth.Config.WALResume): the events it has
-	// are applied but not logged again, so a repeated run never doubles
-	// the log, and with no log there a fresh one is written. It never
-	// enters stage fingerprints — the generated world is byte-identical
-	// either way.
+	// directory already holds: the events it has are applied but not
+	// logged again, so a repeated run never doubles the log, and with no
+	// log there a fresh one is written. It never enters stage
+	// fingerprints — the generated world is byte-identical either way.
 	WALDir string
+}
+
+// Forced picks the stages a run must execute even when cached (the
+// lab.Options.Force form): with WALDir set, generate, because only a
+// running generate stage writes the log. Its artifact comes out
+// byte-identical, so every other stage can still hit. Nil without WALDir.
+func (o PipelineOptions) Forced() func(stage string) bool {
+	if o.WALDir == "" {
+		return nil
+	}
+	return func(stage string) bool { return stage == "generate" }
 }
 
 func (o PipelineOptions) synthConfig() synth.Config {
@@ -53,7 +63,6 @@ func (o PipelineOptions) synthConfig() synth.Config {
 		cfg.Seed = o.Seed
 	}
 	cfg.WALDir = o.WALDir
-	cfg.WALResume = o.WALDir != ""
 	return cfg
 }
 
@@ -224,7 +233,6 @@ func Pipeline(opts PipelineOptions) []lab.Stage {
 	fpCfg := cfg
 	fpCfg.IngestWorkers = 0
 	fpCfg.WALDir = ""
-	fpCfg.WALResume = false
 	seed := cfg.Seed
 
 	stages := []lab.Stage{

@@ -44,7 +44,7 @@ func labRun(t *testing.T, dir string, opts PipelineOptions) *lab.Result {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	res, err := lab.Run(context.Background(), Pipeline(opts), lab.Options{Store: store})
+	res, err := lab.Run(context.Background(), Pipeline(opts), lab.Options{Store: store, Force: opts.Forced()})
 	if err != nil {
 		t.Fatalf("lab.Run: %v", err)
 	}
@@ -149,6 +149,27 @@ func TestResumedReportIsGolden(t *testing.T) {
 	checkGolden(t, "resumed run", reportOf(t, labRun(t, t.TempDir(), opts)), quickReportSHA256)
 	if _, resumed := logFiles(); resumed != written {
 		t.Errorf("resumed run left a %d-byte log, want the %d bytes the clean run wrote", resumed, written)
+	}
+}
+
+// TestWALRunOnWarmStoreRerunsOnlyGenerate: a run with a WAL against a
+// warm store forces only generate, the one stage that writes the log. Its
+// artifact comes out byte-identical, so every other stage hits and the
+// report keeps its golden digest.
+func TestWALRunOnWarmStoreRerunsOnlyGenerate(t *testing.T) {
+	store := t.TempDir()
+	opts := PipelineOptions{Scale: 0.02, Quick: true}
+	checkGolden(t, "cold run", reportOf(t, labRun(t, store, opts)), quickReportSHA256)
+
+	opts.WALDir = t.TempDir()
+	res := labRun(t, store, opts)
+	if res.Misses != 1 || res.Stages["generate"].Status != lab.StatusRan {
+		t.Errorf("warm run with a WAL: %d misses, generate %s; want 1 miss, generate ran",
+			res.Misses, res.Stages["generate"].Status)
+	}
+	checkGolden(t, "warm run with a WAL", reportOf(t, res), quickReportSHA256)
+	if segs, _ := filepath.Glob(filepath.Join(opts.WALDir, "seg-*.wal")); len(segs) == 0 {
+		t.Errorf("warm run wrote no WAL segments to %s", opts.WALDir)
 	}
 }
 

@@ -123,8 +123,10 @@ type Config struct {
 type Response struct {
 	StatusCode int
 	Status     string
-	Header     http.Header
-	Body       []byte
+	// Header is the transport's map, not a copy: a singleflight flight
+	// hands it to every caller, so callers only read it.
+	Header http.Header
+	Body   []byte
 
 	// Attempts is how many network attempts this response cost (0 when
 	// shared from another caller's singleflight flight).
@@ -407,7 +409,7 @@ func (c *Client) once(ctx context.Context, method, rawURL, contentType string, b
 	return &Response{
 		StatusCode: hr.StatusCode,
 		Status:     hr.Status,
-		Header:     hr.Header.Clone(),
+		Header:     hr.Header,
 		Body:       b,
 	}, nil
 }

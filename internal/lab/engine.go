@@ -24,10 +24,15 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Logger receives per-stage progress lines; nil disables them.
 	Logger *slog.Logger
-	// Force ignores cached artifacts (every stage runs) while still
-	// storing fresh ones.
-	Force bool
+	// Force picks the stages that ignore their cached artifact and run,
+	// still storing what they produce; nil forces none. A forced stage
+	// whose artifact comes out unchanged leaves its dependents'
+	// fingerprints as they were, so they can still hit.
+	Force func(stage string) bool
 }
+
+// ForceAll forces every stage.
+func ForceAll(string) bool { return true }
 
 // engine is the runtime state of one Run call.
 type engine struct {
@@ -158,7 +163,7 @@ func (e *engine) execute(ctx context.Context, n *node) error {
 	}
 	n.report.Fingerprint = fp
 
-	if !e.opts.Force {
+	if e.opts.Force == nil || !e.opts.Force(n.stage.Name) {
 		if data, ok := e.opts.Store.Get(n.stage.Name, fp); ok {
 			sum := shaHex(data)
 			n.artifact, n.sha = data, sum

@@ -371,13 +371,36 @@ func TestForceRerunsEverything(t *testing.T) {
 	counts := counters("a", "b", "c")
 	run(t, chain("1", "1", "1", counts), store)
 	res, err := Run(context.Background(), chain("1", "1", "1", counts), Options{
-		Store: store, Telemetry: telemetry.New(), Force: true,
+		Store: store, Telemetry: telemetry.New(), Force: ForceAll,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Misses != 3 || res.Hits != 0 {
 		t.Fatalf("forced run: hits=%d misses=%d, want 0/3", res.Hits, res.Misses)
+	}
+}
+
+// TestForcedStageKeepsDependentsCached: forcing one stage re-runs it, and
+// when its artifact comes out unchanged its dependents still hit.
+func TestForcedStageKeepsDependentsCached(t *testing.T) {
+	store := newStore(t)
+	counts := counters("a", "b", "c")
+	run(t, chain("1", "1", "1", counts), store)
+	res, err := Run(context.Background(), chain("1", "1", "1", counts), Options{
+		Store: store, Telemetry: telemetry.New(), Force: func(stage string) bool { return stage == "a" },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status(t, res, "a") != StatusRan || status(t, res, "b") != StatusHit || status(t, res, "c") != StatusHit {
+		t.Fatalf("a=%s b=%s c=%s, want ran/hit/hit", status(t, res, "a"), status(t, res, "b"), status(t, res, "c"))
+	}
+	if res.Misses != 1 || res.Hits != 2 {
+		t.Fatalf("hits=%d misses=%d, want 2/1", res.Hits, res.Misses)
+	}
+	if got := []int64{counts["a"].Load(), counts["b"].Load(), counts["c"].Load()}; got[0] != 2 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("runs a/b/c = %v, want 2/1/1", got)
 	}
 }
 

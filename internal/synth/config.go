@@ -138,14 +138,12 @@ type Config struct {
 	// WALDir, when non-empty, puts a write-ahead log under the ingestion
 	// session: every streamed event (posts, blacklist adds) is appended
 	// to an internal/wal log in that directory before it is applied, with
-	// fsync barriers at flushes, blacklist adds, and session close. The
-	// generated world is byte-identical with or without it.
+	// fsync barriers at flushes, blacklist adds, and session close. A log
+	// the directory already holds (a crashed or finished run's) is
+	// resumed: the regenerated, deterministic event stream skips
+	// re-logging the events it has, so the log ends at one generation.
+	// The generated world is byte-identical with or without it.
 	WALDir string
-	// WALResume makes generation a crash-recovery resume: an existing log
-	// in WALDir is replayed into the monitor first, and the regenerated
-	// (deterministic) event stream skips the replayed prefix instead of
-	// re-applying and re-logging it. Requires WALDir.
-	WALResume bool
 	// ManualPostFrac: fraction of the monitored stream with no application
 	// field (§2.2: 37%).
 	ManualPostFrac float64

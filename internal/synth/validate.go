@@ -40,9 +40,6 @@ func (c Config) Validate() error {
 	if c.IngestWorkers < 0 {
 		return fail("IngestWorkers = %d, must be >= 0", c.IngestWorkers)
 	}
-	if c.WALResume && c.WALDir == "" {
-		return fail("WALResume requires WALDir")
-	}
 	if c.UsersPerApp < 1 {
 		return fail("UsersPerApp = %d, must be >= 1", c.UsersPerApp)
 	}

@@ -89,10 +89,10 @@ type World struct {
 	ingest *mypagekeeper.Ingester
 	walLog *wal.Log
 
-	// WALResumed is the number of events an existing log already held
-	// when Config.WALResume was set: regeneration re-applies them (the
-	// deterministic generator reproduces the identical stream) but does
-	// not re-append them, so the log completes without duplicates.
+	// WALResumed is the number of events the log in Config.WALDir
+	// already held: regeneration re-applies them (the deterministic
+	// generator reproduces the identical stream) but does not re-append
+	// them, so the log completes without duplicates.
 	WALResumed uint64
 
 	Hackers []*Hacker
@@ -297,13 +297,13 @@ func (w *World) addBlacklistedURL(url string) {
 
 // beginIngest opens the queued-ingestion session that observe and
 // addBlacklistedURL route through. With Config.WALDir set the session is
-// durable: every event is appended to the log before it is applied. With
-// WALResume additionally set, the events an existing (possibly
-// torn-and-truncated) log already holds are not appended again — they are
-// still applied, in regenerated stream order, because the monitor's
-// classification consults live service state (the bit.ly resolver) that
-// only exists mid-generation; replaying the prefix up front would observe
-// a different world than the original run did.
+// durable: every event is appended to the log before it is applied, and
+// the events an existing (possibly torn-and-truncated) log already holds
+// are not appended again — they are still applied, in regenerated stream
+// order, because the monitor's classification consults live service
+// state (the bit.ly resolver) that only exists mid-generation; replaying
+// the prefix up front would observe a different world than the original
+// run did.
 func (w *World) beginIngest(workers int) {
 	cfg := mypagekeeper.IngestConfig{Workers: workers}
 	if w.Config.WALDir != "" {
@@ -313,11 +313,9 @@ func (w *World) beginIngest(workers int) {
 		}
 		w.walLog = l
 		cfg.WAL = l
-		if w.Config.WALResume {
-			w.WALResumed = l.End()
-			cfg.SkipEvents = l.End()
-			cfg.SkipLogOnly = true
-		}
+		w.WALResumed = l.End()
+		cfg.SkipEvents = l.End()
+		cfg.SkipLogOnly = true
 	}
 	w.ingest = w.Monitor.StartIngestWith(cfg)
 }

@@ -33,7 +33,7 @@ func (h *SlogHandler) Enabled(ctx context.Context, level slog.Level) bool {
 func (h *SlogHandler) Handle(ctx context.Context, rec slog.Record) error {
 	if s := FromContext(ctx); s != nil {
 		rec.AddAttrs(
-			slog.String("trace_id", s.traceID.String()),
+			slog.String("trace_id", s.seg.id.String()),
 			slog.String("span_id", s.spanID.String()),
 		)
 	}

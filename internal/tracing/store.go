@@ -11,9 +11,11 @@ import (
 
 // The finished-trace store. Trace segments (one per instrumented process
 // hop: the watchdog handler's, plus one per loopback service touched)
-// publish here as their segment root ends; segments sharing a trace id
-// merge into one record, so /debug/traces shows the cross-service span
-// tree stitched together by parent ids.
+// publish here, sealed, as their segment root ends; segments sharing a
+// trace id merge into one record, so /debug/traces shows the cross-service
+// span tree stitched together by parent ids. Publishing links the sealed
+// segment into its record and copies nothing; a segment's spans become
+// FinishedSpans only when a reader asks for them.
 //
 // Memory is bounded two ways:
 //
@@ -69,35 +71,35 @@ type TraceJSON struct {
 	Roots []*SpanNode `json:"roots"`
 }
 
-// segmentRoot summarises the root span of one published segment.
-type segmentRoot struct {
-	spanID   SpanID
-	parent   SpanID
-	remote   bool
-	duration time.Duration
-}
-
-// traceRecord is one trace's accumulated segments.
+// traceRecord is one trace's published segments.
 type traceRecord struct {
-	id        TraceID
-	spans     []FinishedSpan
-	firstSeen time.Time
+	id          TraceID
+	first, last *segment // publish order, linked through segment.next
 	// rootDur is the true root's duration when hasRoot, else the longest
 	// segment-root duration seen so far — the slow-reservoir sort key.
 	rootDur time.Duration
 	hasRoot bool
-	seq     uint64 // publish order, for stable recent ordering
+	inRing  bool // in the recent ring
+	inSlow  bool // in the slow reservoir
+}
+
+// segments returns the record's segments. Call with Store.mu held.
+func (rec *traceRecord) segments() []*segment {
+	var segs []*segment
+	for seg := rec.first; seg != nil; seg = seg.next {
+		segs = append(segs, seg)
+	}
+	return segs
 }
 
 // Store holds finished traces. Safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	capacity int
-	slowN    int
-	byID     map[TraceID]*traceRecord
-	recent   []*traceRecord // FIFO, oldest first
-	slowest  []*traceRecord // sorted by rootDur descending, ≤ slowN
-	seq      uint64
+	mu      sync.Mutex
+	slowN   int
+	byID    map[TraceID]*traceRecord
+	ring    []*traceRecord // fixed capacity; ring[head] is the oldest once full
+	head    int
+	slowest []*traceRecord // by rootDur descending, ties in arrival order; ≤ slowN
 
 	published uint64 // segments published
 	evicted   uint64 // records fully dropped
@@ -105,86 +107,100 @@ type Store struct {
 
 func newStore(capacity, slowN int) *Store {
 	return &Store{
-		capacity: capacity,
-		slowN:    slowN,
-		byID:     make(map[TraceID]*traceRecord),
+		slowN:   slowN,
+		byID:    make(map[TraceID]*traceRecord),
+		ring:    make([]*traceRecord, capacity),
+		slowest: make([]*traceRecord, 0, slowN),
 	}
 }
 
-// publish merges one finished segment into the store.
-func (st *Store) publish(id TraceID, root segmentRoot, spans []FinishedSpan) {
+// publish merges one sealed segment into the store.
+func (st *Store) publish(seg *segment) {
+	root := seg.root
+	dur := root.end.Sub(root.start)
+	trueRoot := root.parentID.IsZero() && !root.remote
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.published++
-	rec, ok := st.byID[id]
-	if !ok {
-		st.seq++
-		rec = &traceRecord{id: id, firstSeen: time.Now(), seq: st.seq}
-		st.byID[id] = rec
-		st.recent = append(st.recent, rec)
+	rec := st.byID[seg.id]
+	if rec == nil {
+		rec = &traceRecord{id: seg.id}
+		st.byID[seg.id] = rec
+		st.pushRecent(rec)
 	}
-	rec.spans = append(rec.spans, spans...)
-	trueRoot := root.parent.IsZero() && !root.remote
+	if rec.last == nil {
+		rec.first = seg
+	} else {
+		rec.last.next = seg
+	}
+	rec.last = seg
+	was := rec.rootDur
 	switch {
 	case trueRoot:
-		rec.rootDur = root.duration
+		rec.rootDur = dur
 		rec.hasRoot = true
-	case !rec.hasRoot && root.duration > rec.rootDur:
-		rec.rootDur = root.duration
+	case !rec.hasRoot && dur > rec.rootDur:
+		rec.rootDur = dur
 	}
-	st.updateSlowest(rec)
-	for len(st.recent) > st.capacity {
-		old := st.recent[0]
-		st.recent = st.recent[1:]
-		if !st.inSlowest(old) {
-			delete(st.byID, old.id)
-			st.evicted++
-		}
-	}
+	st.rank(rec, was)
 }
 
-// updateSlowest inserts or re-ranks rec in the slow reservoir.
-func (st *Store) updateSlowest(rec *traceRecord) {
-	found := false
-	for _, r := range st.slowest {
-		if r == rec {
-			found = true
-			break
+// pushRecent puts rec in the ring, evicting the oldest trace unless the
+// slow reservoir holds it.
+func (st *Store) pushRecent(rec *traceRecord) {
+	if old := st.ring[st.head]; old != nil {
+		old.inRing = false
+		st.dropIfUnheld(old)
+	}
+	st.ring[st.head] = rec
+	rec.inRing = true
+	st.head = (st.head + 1) % len(st.ring)
+}
+
+// rank updates the slow reservoir after rec's duration went from was to
+// rec.rootDur. A member moves to its new rank: above equal durations when
+// it grew, below them when it shrank. A non-member enters only when the
+// reservoir has room or it beats the reservoir's minimum, and then ranks
+// below equal durations, so ties keep arrival order.
+func (st *Store) rank(rec *traceRecord, was time.Duration) {
+	d := rec.rootDur
+	if rec.inSlow {
+		if d == was {
+			return
 		}
+		i := 0
+		for st.slowest[i] != rec {
+			i++
+		}
+		st.slowest = append(st.slowest[:i], st.slowest[i+1:]...)
+	} else if len(st.slowest) == st.slowN {
+		last := st.slowest[len(st.slowest)-1]
+		if d <= last.rootDur {
+			return
+		}
+		st.slowest = st.slowest[:len(st.slowest)-1]
+		last.inSlow = false
+		st.dropIfUnheld(last)
 	}
-	if !found {
-		st.slowest = append(st.slowest, rec)
-	}
-	sort.SliceStable(st.slowest, func(i, j int) bool {
-		return st.slowest[i].rootDur > st.slowest[j].rootDur
+	grew := !rec.inSlow || d > was
+	i := sort.Search(len(st.slowest), func(i int) bool {
+		if grew {
+			return st.slowest[i].rootDur < d
+		}
+		return st.slowest[i].rootDur <= d
 	})
-	if len(st.slowest) > st.slowN {
-		for _, dropped := range st.slowest[st.slowN:] {
-			if !st.inRecent(dropped) {
-				delete(st.byID, dropped.id)
-				st.evicted++
-			}
-		}
-		st.slowest = st.slowest[:st.slowN]
-	}
+	st.slowest = append(st.slowest, nil)
+	copy(st.slowest[i+1:], st.slowest[i:])
+	st.slowest[i] = rec
+	rec.inSlow = true
 }
 
-func (st *Store) inSlowest(rec *traceRecord) bool {
-	for _, r := range st.slowest {
-		if r == rec {
-			return true
-		}
+// dropIfUnheld forgets rec once neither the ring nor the reservoir holds it.
+func (st *Store) dropIfUnheld(rec *traceRecord) {
+	if !rec.inRing && !rec.inSlow {
+		delete(st.byID, rec.id)
+		st.evicted++
 	}
-	return false
-}
-
-func (st *Store) inRecent(rec *traceRecord) bool {
-	for _, r := range st.recent {
-		if r == rec {
-			return true
-		}
-	}
-	return false
 }
 
 // Len returns how many traces are currently retained.
@@ -209,15 +225,15 @@ func (st *Store) Trace(hexID string) (TraceJSON, bool) {
 	}
 	st.mu.Lock()
 	rec, ok := st.byID[id]
-	var spans []FinishedSpan
+	var segs []*segment
 	if ok {
-		spans = append([]FinishedSpan(nil), rec.spans...)
+		segs = rec.segments()
 	}
 	st.mu.Unlock()
 	if !ok {
 		return TraceJSON{}, false
 	}
-	return buildTree(id, spans), true
+	return renderTrace(id, segs), true
 }
 
 // Snapshot returns up to nRecent most-recent traces (newest first) and
@@ -226,33 +242,41 @@ func (st *Store) Snapshot(nRecent int) (recent, slowest []TraceJSON) {
 	if nRecent <= 0 {
 		nRecent = 20
 	}
-	st.mu.Lock()
-	recs := make([]*traceRecord, 0, nRecent)
-	for i := len(st.recent) - 1; i >= 0 && len(recs) < nRecent; i-- {
-		recs = append(recs, st.recent[i])
-	}
-	slows := append([]*traceRecord(nil), st.slowest...)
 	type snap struct {
-		id    TraceID
-		spans []FinishedSpan
+		id   TraceID
+		segs []*segment
 	}
-	snapOf := func(rs []*traceRecord) []snap {
-		out := make([]snap, len(rs))
-		for i, r := range rs {
-			out[i] = snap{id: r.id, spans: append([]FinishedSpan(nil), r.spans...)}
+	var recSnap, slowSnap []snap
+	st.mu.Lock()
+	for i := 1; i <= len(st.ring) && len(recSnap) < nRecent; i++ {
+		rec := st.ring[(st.head-i+len(st.ring))%len(st.ring)]
+		if rec == nil {
+			break
 		}
-		return out
+		recSnap = append(recSnap, snap{rec.id, rec.segments()})
 	}
-	recSnap, slowSnap := snapOf(recs), snapOf(slows)
+	for _, rec := range st.slowest {
+		slowSnap = append(slowSnap, snap{rec.id, rec.segments()})
+	}
 	st.mu.Unlock()
 
 	for _, s := range recSnap {
-		recent = append(recent, buildTree(s.id, s.spans))
+		recent = append(recent, renderTrace(s.id, s.segs))
 	}
 	for _, s := range slowSnap {
-		slowest = append(slowest, buildTree(s.id, s.spans))
+		slowest = append(slowest, renderTrace(s.id, s.segs))
 	}
 	return recent, slowest
+}
+
+// renderTrace renders a trace's sealed segments, in publish order, as a
+// span tree. The segments are immutable, so this runs without a lock.
+func renderTrace(id TraceID, segs []*segment) TraceJSON {
+	var spans []FinishedSpan
+	for _, seg := range segs {
+		spans = seg.render(spans)
+	}
+	return buildTree(id, spans)
 }
 
 // buildTree stitches a flat span list into parent/child trees. Spans whose

@@ -14,9 +14,12 @@
 //
 //   - stdlib-only; no OpenTelemetry dependency. The ID wire format is W3C
 //     trace-context (version 00) so the headers interoperate anyway.
-//   - allocation-conscious: typed attributes (no interface{} boxing),
-//     spans pooled per trace in one slice, ID generation is an atomic
-//     splitmix64 step — no locks, no crypto/rand per span.
+//   - cheap on the request path: typed attributes (no interface{}
+//     boxing), the first four held inline in the span; a span is one
+//     allocation plus its context; ID generation is an atomic splitmix64
+//     step — no locks, no crypto/rand per span. A segment root's End
+//     seals its segment and hands it to the store as is; the store renders
+//     spans (hex ids, attribute strings) only when /debug/traces is read.
 //   - monotonic timings: span durations come from time.Time's monotonic
 //     reading, immune to wall-clock steps.
 //   - bounded memory: finished traces land in a ring buffer with an
@@ -32,7 +35,6 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -53,10 +55,18 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 // String returns the 32-char lowercase hex form used on the wire.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+func (t TraceID) String() string {
+	var b [32]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // String returns the 16-char lowercase hex form used on the wire.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s SpanID) String() string {
+	var b [16]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // ParseTraceID parses the 32-char hex form. The zero id is invalid.
 func ParseTraceID(s string) (TraceID, bool) {
@@ -196,17 +206,18 @@ func (a Attr) Value() string {
 // every method checks the receiver, so uninstrumented or untraced paths
 // pay one nil check and nothing else.
 type Span struct {
-	tr *activeTrace
-
-	traceID  TraceID
+	seg      *segment
 	spanID   SpanID
 	parentID SpanID
 	name     string
 	start    time.Time // carries the monotonic reading
 	remote   bool      // continues a parent from another process/segment
 
-	mu    sync.Mutex
-	attrs []Attr
+	// Guarded by seg.mu and frozen once the segment is sealed.
+	next  *Span   // the segment's next span, in creation order
+	attrs [4]Attr // the first four attributes, inline
+	nattr int
+	more  []Attr // attributes past the fourth
 	errs  string
 	end   time.Time
 	ended bool
@@ -217,7 +228,7 @@ func (s *Span) TraceID() TraceID {
 	if s == nil {
 		return TraceID{}
 	}
-	return s.traceID
+	return s.seg.id
 }
 
 // SpanID returns this span's id (zero for a nil span).
@@ -233,9 +244,13 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
-	s.mu.Unlock()
+	s.seg.mu.Lock()
+	if !s.seg.sealed {
+		n := copy(s.attrs[s.nattr:], attrs)
+		s.nattr += n
+		s.more = append(s.more, attrs[n:]...)
+	}
+	s.seg.mu.Unlock()
 }
 
 // SetError records an error on the span; the span's status becomes the
@@ -244,9 +259,7 @@ func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
-	s.errs = err.Error()
-	s.mu.Unlock()
+	s.SetErrorString(err.Error())
 }
 
 // SetErrorString records an error status directly.
@@ -254,72 +267,101 @@ func (s *Span) SetErrorString(msg string) {
 	if s == nil || msg == "" {
 		return
 	}
-	s.mu.Lock()
-	s.errs = msg
-	s.mu.Unlock()
+	s.seg.mu.Lock()
+	if !s.seg.sealed {
+		s.errs = msg
+	}
+	s.seg.mu.Unlock()
 }
 
 // End finishes the span. Ending twice is a no-op. When the span is its
-// trace segment's root, the whole finished segment is published to the
+// trace segment's root, End seals the segment and publishes it to the
 // tracer's store.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := s.tr.tracer.now()
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
+	seg := s.seg
+	now := seg.tracer.now()
+	seg.mu.Lock()
+	if s.ended || seg.sealed {
+		seg.mu.Unlock()
 		return
 	}
-	s.ended = true
-	s.end = now
-	s.mu.Unlock()
-	s.tr.spanEnded(s)
+	s.ended, s.end = true, now
+	seal := s == seg.root
+	if seal {
+		seg.sealed = true
+	}
+	seg.mu.Unlock()
+	if seal {
+		seg.tracer.store.publish(seg)
+	}
 }
 
-// ------------------------------------------------------------ active traces
+// ----------------------------------------------------------------- segments
 
-// activeTrace is one in-flight local trace segment: the spans created in
-// this process between a segment root (a server span or a local root) and
-// that root's End, at which point the segment is snapshotted and published.
-type activeTrace struct {
+// segment is one local trace segment: the spans created in this process
+// between a segment root (a server span or a local root) and that root's
+// End. The root's End seals it: later attributes, errors, ends and child
+// spans are dropped, so the published segment never changes again and
+// the store renders it at read time without a lock.
+type segment struct {
 	tracer *Tracer
 	id     TraceID
 	root   *Span
 
-	mu    sync.Mutex
-	spans []*Span
+	mu     sync.Mutex
+	last   *Span // newest span; root.next links the rest in creation order
+	sealed bool
+
+	next *segment // the trace record's next segment, guarded by Store.mu
 }
 
-func (t *activeTrace) addSpan(s *Span) {
-	t.mu.Lock()
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
+// newSegment starts a segment whose root span continues parent (zero for
+// a true root).
+func (t *Tracer) newSegment(id TraceID, name string, parent SpanID, remote bool) *Span {
+	seg := &segment{tracer: t, id: id}
+	seg.root = seg.span(name, parent, remote)
+	seg.last = seg.root
+	return seg.root
 }
 
-// spanEnded publishes the segment when its root ends. Children that are
-// still open at that point are published as unfinished (their duration is
-// "so far"); in practice children end before their parents.
-func (t *activeTrace) spanEnded(s *Span) {
-	if s != t.root {
-		return
+// span builds a span of seg without linking it in.
+func (seg *segment) span(name string, parent SpanID, remote bool) *Span {
+	return &Span{
+		seg:      seg,
+		spanID:   NewSpanID(),
+		parentID: parent,
+		name:     name,
+		start:    seg.tracer.now(),
+		remote:   remote,
 	}
-	t.mu.Lock()
-	spans := t.spans
-	t.spans = nil
-	t.mu.Unlock()
-	if len(spans) == 0 {
-		return
+}
+
+// child starts a child of parent in parent's segment. A child started
+// after the seal still gets ids (its context propagates) but is not part
+// of the published segment.
+func (parent *Span) child(name string) *Span {
+	seg := parent.seg
+	s := seg.span(name, parent.spanID, false)
+	seg.mu.Lock()
+	if !seg.sealed {
+		seg.last.next = s
+		seg.last = s
 	}
-	now := t.tracer.now()
-	finished := make([]FinishedSpan, 0, len(spans))
-	for _, sp := range spans {
-		sp.mu.Lock()
-		end := sp.end
-		unfinished := !sp.ended
+	seg.mu.Unlock()
+	return s
+}
+
+// render appends the sealed segment's spans in creation order. Spans still
+// open at the seal are unfinished, measured to the root's end.
+func (seg *segment) render(out []FinishedSpan) []FinishedSpan {
+	sealedAt := seg.root.end
+	for sp := seg.root; sp != nil; sp = sp.next {
+		end, unfinished := sp.end, !sp.ended
 		if unfinished {
-			end = now
+			end = sealedAt
 		}
 		fs := FinishedSpan{
 			SpanID:     sp.spanID.String(),
@@ -334,29 +376,18 @@ func (t *activeTrace) spanEnded(s *Span) {
 		if !sp.parentID.IsZero() {
 			fs.ParentID = sp.parentID.String()
 		}
-		if len(sp.attrs) > 0 {
-			fs.Attrs = make([]AttrJSON, len(sp.attrs))
-			for i, a := range sp.attrs {
-				fs.Attrs[i] = AttrJSON{Key: a.Key, Value: a.Value()}
+		if n := sp.nattr + len(sp.more); n > 0 {
+			fs.Attrs = make([]AttrJSON, 0, n)
+			for _, a := range sp.attrs[:sp.nattr] {
+				fs.Attrs = append(fs.Attrs, AttrJSON{Key: a.Key, Value: a.Value()})
+			}
+			for _, a := range sp.more {
+				fs.Attrs = append(fs.Attrs, AttrJSON{Key: a.Key, Value: a.Value()})
 			}
 		}
-		sp.mu.Unlock()
-		finished = append(finished, fs)
+		out = append(out, fs)
 	}
-	root := segmentRoot{
-		spanID:   t.root.spanID,
-		remote:   t.root.remote,
-		parent:   t.root.parentID,
-		duration: finished[0].Duration,
-	}
-	// The root is always the first span created in the segment.
-	for i := range finished {
-		if finished[i].SpanID == t.root.spanID.String() {
-			root.duration = finished[i].Duration
-			break
-		}
-	}
-	t.tracer.store.publish(t.id, root, finished)
+	return out
 }
 
 // ------------------------------------------------------------------- tracer
@@ -441,7 +472,7 @@ func FromContext(ctx context.Context) *Span {
 // TraceIDFrom returns the current trace id's hex form, or "".
 func TraceIDFrom(ctx context.Context) string {
 	if s := FromContext(ctx); s != nil {
-		return s.traceID.String()
+		return s.seg.id.String()
 	}
 	return ""
 }
@@ -453,11 +484,12 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
-	if parent := FromContext(ctx); parent != nil && parent.tr != nil {
-		return t.startIn(ctx, parent.tr, name, parent.traceID, parent.spanID, false)
+	if parent := FromContext(ctx); parent != nil {
+		s := parent.child(name)
+		return ContextWith(ctx, s), s
 	}
-	tr := &activeTrace{tracer: t, id: NewTraceID()}
-	return t.startRoot(ctx, tr, name, SpanID{}, false)
+	s := t.newSegment(NewTraceID(), name, SpanID{}, false)
+	return ContextWith(ctx, s), s
 }
 
 // StartChild begins a span only when the context already carries a trace;
@@ -469,10 +501,11 @@ func (t *Tracer) StartChild(ctx context.Context, name string) (context.Context, 
 		return ctx, nil
 	}
 	parent := FromContext(ctx)
-	if parent == nil || parent.tr == nil {
+	if parent == nil {
 		return ctx, nil
 	}
-	return t.startIn(ctx, parent.tr, name, parent.traceID, parent.spanID, false)
+	s := parent.child(name)
+	return ContextWith(ctx, s), s
 }
 
 // StartRemote begins a server-side span continuing the trace described by
@@ -482,41 +515,12 @@ func (t *Tracer) StartRemote(ctx context.Context, name, traceparent string) (con
 	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
+	var s *Span
 	if tid, sid, ok := ParseTraceparent(traceparent); ok {
-		tr := &activeTrace{tracer: t, id: tid}
-		ctx, sp := t.startRoot(ctx, tr, name, sid, true)
-		return ctx, sp
+		s = t.newSegment(tid, name, sid, true)
+	} else {
+		s = t.newSegment(NewTraceID(), name, SpanID{}, false)
 	}
-	tr := &activeTrace{tracer: t, id: NewTraceID()}
-	return t.startRoot(ctx, tr, name, SpanID{}, false)
-}
-
-func (t *Tracer) startRoot(ctx context.Context, tr *activeTrace, name string, parent SpanID, remote bool) (context.Context, *Span) {
-	s := &Span{
-		tr:       tr,
-		traceID:  tr.id,
-		spanID:   NewSpanID(),
-		parentID: parent,
-		name:     name,
-		start:    t.now(),
-		remote:   remote,
-	}
-	tr.root = s
-	tr.addSpan(s)
-	return ContextWith(ctx, s), s
-}
-
-func (t *Tracer) startIn(ctx context.Context, tr *activeTrace, name string, tid TraceID, parent SpanID, remote bool) (context.Context, *Span) {
-	s := &Span{
-		tr:       tr,
-		traceID:  tid,
-		spanID:   NewSpanID(),
-		parentID: parent,
-		name:     name,
-		start:    t.now(),
-		remote:   remote,
-	}
-	tr.addSpan(s)
 	return ContextWith(ctx, s), s
 }
 
@@ -531,7 +535,13 @@ func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return fmt.Sprintf("00-%s-%s-01", s.traceID.String(), s.spanID.String())
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], s.seg.id[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], s.spanID[:])
+	copy(b[52:], "-01")
+	return string(b[:])
 }
 
 // ParseTraceparent parses a W3C traceparent value. Only version 00 with
