@@ -13,7 +13,8 @@
 //     bit.ly links with click traffic, WOT reputations, app deletion.
 //   - BuildDatasets assembles D-Total / D-Sample / D-Summary / D-Inst /
 //     D-ProfileFeed / D-Complete exactly as §2.3 describes, crawling the
-//     simulated Graph API (over HTTP, or in-process for speed).
+//     simulated Graph API in process with the crawler NewWatchdog uses
+//     over HTTP.
 //   - Train / CrossValidate fit the SVM classifier (FRAppE Lite's seven
 //     on-demand features, or full FRAppE with the two aggregation-based
 //     features) and evaluate it the way Tables 5-6 and §5.2 do.
@@ -32,10 +33,8 @@ import (
 	"frappe/internal/core"
 	"frappe/internal/datasets"
 	"frappe/internal/forensics"
-	"frappe/internal/graphapi"
 	"frappe/internal/stack"
 	"frappe/internal/synth"
-	"frappe/internal/wot"
 )
 
 // World is a generated synthetic universe (platform, services, monitor).
@@ -98,22 +97,9 @@ func StartServicesWithFaults(w *World, faults *FaultSpec) (*Stack, error) {
 	return stack.StartOpts(w, stack.Options{Faults: faults})
 }
 
-// BuildDatasets assembles the corpus in-process (fast path). Use
-// BuildDatasetsHTTP to exercise the full networking stack.
+// BuildDatasets assembles the corpus, crawling the world in process.
 func BuildDatasets(ctx context.Context, w *World) (*Datasets, error) {
 	b := &datasets.Builder{World: w}
-	return b.Build(ctx)
-}
-
-// BuildDatasetsHTTP assembles the corpus by crawling the given Graph API
-// and WOT endpoints, exactly as the paper's Selenium pipeline did.
-func BuildDatasetsHTTP(ctx context.Context, w *World, graphURL, wotURL string, workers int) (*Datasets, error) {
-	b := &datasets.Builder{
-		World:   w,
-		Graph:   &graphapi.Client{BaseURL: graphURL},
-		WOT:     &wot.Client{BaseURL: wotURL},
-		Workers: workers,
-	}
 	return b.Build(ctx)
 }
 

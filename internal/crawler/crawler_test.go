@@ -10,6 +10,7 @@ import (
 
 	"frappe/internal/fbplatform"
 	"frappe/internal/graphapi"
+	"frappe/internal/httpx"
 	"frappe/internal/telemetry"
 	"frappe/internal/wot"
 )
@@ -154,7 +155,8 @@ func TestRetryOnTransientFailure(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	c, err := New(Config{Graph: &graphapi.Client{BaseURL: flaky.URL}, Workers: 1, Retries: 3})
+	c, err := New(Config{Graph: &graphapi.Client{BaseURL: flaky.URL,
+		HTTP: httpx.New(httpx.Config{Service: "graph", MaxAttempts: 4})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Workers != 8 || c.cfg.Retries != 2 {
+	if c.cfg.Workers != 8 {
 		t.Errorf("defaults: %+v", c.cfg)
 	}
 }
@@ -220,7 +222,8 @@ func TestCrawlTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// App 1: summary+feed ok, install not crawlable. App 2: all ok.
-	// App 3: deleted, every surface fails.
+	// App 3: deleted; its summary fails and its feed and install are
+	// failed without a fetch.
 	if _, err := c.Crawl(context.Background(), []string{"1", "2", "3"}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +237,9 @@ func TestCrawlTelemetry(t *testing.T) {
 	if got := reg.CounterValue("frappe_crawl_failures_total", "summary"); got != 1 {
 		t.Errorf("summary failures = %d, want 1", got)
 	}
+	if got := reg.CounterValue("frappe_crawl_failures_total", "feed"); got != 1 {
+		t.Errorf("feed failures = %d, want 1", got)
+	}
 	if got := reg.CounterValue("frappe_crawl_not_crawlable_total", "install"); got != 1 {
 		t.Errorf("install not-crawlable = %d, want 1", got)
 	}
@@ -245,5 +251,39 @@ func TestCrawlTelemetry(t *testing.T) {
 	}
 	if _, count := reg.HistogramSum("frappe_crawl_app_duration_seconds"); count != 3 {
 		t.Errorf("app duration observations = %d, want 3", count)
+	}
+}
+
+// TestDeletedAppCostsOneRequest: a deleted app answers `false` on every
+// surface, so a summary answered deleted ends its crawl: one Graph-API
+// request, feed and install reported deleted, one attempt counted.
+func TestDeletedAppCostsOneRequest(t *testing.T) {
+	p, _, done := testStack(t)
+	defer done()
+	inner := graphapi.NewServer(p)
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	reg := telemetry.New()
+	c, err := New(Config{Graph: &graphapi.Client{BaseURL: srv.URL}, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := c.CrawlApp(context.Background(), "3")
+	if !r.Deleted() || !errors.Is(r.FeedErr, graphapi.ErrDeleted) || !errors.Is(r.InstallErr, graphapi.ErrDeleted) {
+		t.Errorf("deleted app: summary %v, feed %v, install %v; want ErrDeleted on all three",
+			r.SummaryErr, r.FeedErr, r.InstallErr)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("Graph-API requests = %d, want 1", n)
+	}
+	for kind, want := range map[string]uint64{"summary": 1, "feed": 0, "install": 0} {
+		if got := reg.CounterValue("frappe_crawl_attempts_total", kind); got != want {
+			t.Errorf("%s attempts = %d, want %d", kind, got, want)
+		}
 	}
 }

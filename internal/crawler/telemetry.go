@@ -4,16 +4,14 @@ import (
 	"errors"
 	"time"
 
-	"frappe/internal/graphapi"
 	"frappe/internal/telemetry"
 )
 
-// Instruments is the crawl metric set, shared between the HTTP crawler and
-// the in-process fast path in internal/datasets so that both report the
-// same families — the paper's ~37%/~19% permission-crawl coverage (§2.3)
-// becomes a live observable either way:
+// instruments is the crawl metric set. Every crawl, over HTTP or in
+// process, runs through CrawlApp, so the paper's ~37%/~19%
+// permission-crawl coverage (§2.3) is a live observable either way:
 //
-//	frappe_crawl_attempts_total{kind}       one per surface fetch
+//	frappe_crawl_attempts_total{kind}       one per surface fetch made
 //	frappe_crawl_successes_total{kind}      fetches that yielded data
 //	frappe_crawl_failures_total{kind}       terminal failures (incl. deleted)
 //	frappe_crawl_not_crawlable_total{kind}  install flows automation can't drive
@@ -23,60 +21,60 @@ import (
 //
 // Network-level retries, backoff, and breaker activity are counted by
 // the frappe_httpx_* families (internal/httpx), underneath these.
-type Instruments struct {
-	Attempts     *telemetry.CounterVec
-	Successes    *telemetry.CounterVec
-	Failures     *telemetry.CounterVec
-	NotCrawlable *telemetry.CounterVec
-	Deleted      *telemetry.CounterVec
-	Apps         *telemetry.CounterVec
-	AppDuration  *telemetry.HistogramVec
+type instruments struct {
+	attempts     *telemetry.CounterVec
+	successes    *telemetry.CounterVec
+	failures     *telemetry.CounterVec
+	notCrawlable *telemetry.CounterVec
+	deleted      *telemetry.CounterVec
+	apps         *telemetry.CounterVec
+	appDuration  *telemetry.HistogramVec
 }
 
-// NewInstruments registers the crawl metric families on reg (nil means the
+// newInstruments registers the crawl metric families on reg (nil means the
 // process default registry).
-func NewInstruments(reg *telemetry.Registry) *Instruments {
+func newInstruments(reg *telemetry.Registry) *instruments {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	return &Instruments{
-		Attempts: reg.Counter("frappe_crawl_attempts_total",
+	return &instruments{
+		attempts: reg.Counter("frappe_crawl_attempts_total",
 			"Crawl fetch attempts, by surface kind.", "kind"),
-		Successes: reg.Counter("frappe_crawl_successes_total",
+		successes: reg.Counter("frappe_crawl_successes_total",
 			"Crawl fetches that returned data, by surface kind.", "kind"),
-		Failures: reg.Counter("frappe_crawl_failures_total",
+		failures: reg.Counter("frappe_crawl_failures_total",
 			"Crawl fetches that failed terminally, by surface kind.", "kind"),
-		NotCrawlable: reg.Counter("frappe_crawl_not_crawlable_total",
+		notCrawlable: reg.Counter("frappe_crawl_not_crawlable_total",
 			"Crawl surfaces skipped because the install flow defeats automation, by kind.", "kind"),
-		Deleted: reg.Counter("frappe_crawl_deleted_total",
+		deleted: reg.Counter("frappe_crawl_deleted_total",
 			"Apps found deleted from the graph during a crawl."),
-		Apps: reg.Counter("frappe_crawl_apps_total",
+		apps: reg.Counter("frappe_crawl_apps_total",
 			"Apps whose crawl (all surfaces) completed."),
-		AppDuration: reg.Histogram("frappe_crawl_app_duration_seconds",
+		appDuration: reg.Histogram("frappe_crawl_app_duration_seconds",
 			"Wall-clock seconds to crawl one app across all surfaces.", nil),
 	}
 }
 
-// Outcome records the terminal state of one surface fetch. A nil error is
-// a success; ErrNotCrawlable counts separately from hard failures so the
+// outcome records the terminal state of one surface. A nil error is a
+// success; ErrNotCrawlable counts separately from hard failures so the
 // paper's coverage gap is distinguishable from service flakiness.
-func (in *Instruments) Outcome(kind Kind, err error) {
+func (in *instruments) outcome(kind Kind, err error) {
 	switch {
 	case err == nil:
-		in.Successes.With(kind.String()).Inc()
+		in.successes.With(kind.String()).Inc()
 	case errors.Is(err, ErrNotCrawlable):
-		in.NotCrawlable.With(kind.String()).Inc()
+		in.notCrawlable.With(kind.String()).Inc()
 	default:
-		in.Failures.With(kind.String()).Inc()
+		in.failures.With(kind.String()).Inc()
 	}
 }
 
-// FinishApp records an app's full-crawl completion: duration, the deleted
-// counter, and the per-surface outcomes already tallied by Outcome.
-func (in *Instruments) FinishApp(r *Result, start time.Time) {
-	in.Apps.With().Inc()
-	in.AppDuration.With().Observe(time.Since(start).Seconds())
-	if errors.Is(r.SummaryErr, graphapi.ErrDeleted) {
-		in.Deleted.With().Inc()
+// finishApp records an app's full-crawl completion: duration, the deleted
+// counter, and the per-surface outcomes already tallied by outcome.
+func (in *instruments) finishApp(r *Result, start time.Time) {
+	in.apps.With().Inc()
+	in.appDuration.With().Observe(time.Since(start).Seconds())
+	if r.Deleted() {
+		in.deleted.With().Inc()
 	}
 }

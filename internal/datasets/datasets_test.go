@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"frappe/internal/stack"
 	"frappe/internal/synth"
 )
 
@@ -137,59 +136,6 @@ func TestCrawlResultsRespectDeletion(t *testing.T) {
 		}
 		if !deletedAtCrawl && r.SummaryErr != nil {
 			t.Errorf("live app %s failed the summary crawl: %v", id, r.SummaryErr)
-		}
-	}
-}
-
-func TestHTTPAndDirectCrawlsAgree(t *testing.T) {
-	w, _ := sharedData(t)
-	st, err := stack.Start(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	graph, _, wotc, _ := st.Clients()
-
-	// Rebuild via HTTP and compare against the direct path.
-	direct := &Builder{World: w}
-	viaHTTP := &Builder{World: w, Graph: graph, WOT: wotc, Workers: 8}
-
-	dd, err := direct.Build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh, err := viaHTTP.Build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dd.Malicious) != len(dh.Malicious) || len(dd.Benign) != len(dh.Benign) {
-		t.Fatalf("sample mismatch: direct=(%d,%d) http=(%d,%d)",
-			len(dd.Benign), len(dd.Malicious), len(dh.Benign), len(dh.Malicious))
-	}
-	for id, rd := range dd.Crawl {
-		rh, ok := dh.Crawl[id]
-		if !ok {
-			t.Fatalf("HTTP crawl missing %s", id)
-		}
-		if (rd.SummaryErr == nil) != (rh.SummaryErr == nil) {
-			t.Errorf("%s summary success differs: %v vs %v", id, rd.SummaryErr, rh.SummaryErr)
-		}
-		if (rd.InstallErr == nil) != (rh.InstallErr == nil) {
-			t.Errorf("%s install success differs", id)
-		}
-		if rd.InstallErr == nil && rh.InstallErr == nil {
-			if rd.Install.ClientID != rh.Install.ClientID {
-				t.Errorf("%s client ID differs: %q vs %q", id, rd.Install.ClientID, rh.Install.ClientID)
-			}
-			if len(rd.Install.Permissions) != len(rh.Install.Permissions) {
-				t.Errorf("%s permissions differ", id)
-			}
-			if rd.WOTScore != rh.WOTScore {
-				t.Errorf("%s WOT differs: %d vs %d", id, rd.WOTScore, rh.WOTScore)
-			}
-		}
-		if rd.Summary != nil && rh.Summary != nil && rd.Summary.Name != rh.Summary.Name {
-			t.Errorf("%s name differs", id)
 		}
 	}
 }

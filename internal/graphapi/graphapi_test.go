@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,5 +193,60 @@ func TestUnknownPath(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("deep path status = %d", resp.StatusCode)
+	}
+}
+
+// TestLocalAnswersWhatClientDecodes: the in-process Graph API the dataset
+// build crawls through reads, for a live app, a sparse one (no
+// description, feed or permissions), a deleted one and an unknown ID,
+// what Client decodes from Server over HTTP, with ErrDeleted on the same
+// surfaces. A nil and an empty list count as equal.
+func TestLocalAnswersWhatClientDecodes(t *testing.T) {
+	p, c, done := newTestWorld(t)
+	defer done()
+	if err := p.Register(&fbplatform.App{ID: "31337", Name: "Bare", Truth: fbplatform.Truth{HackerID: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	local := Local{Platform: p}
+	ctx := context.Background()
+	same := func(id, surface string, lv, cv any, lerr, cerr error) {
+		t.Helper()
+		if errors.Is(lerr, ErrDeleted) != errors.Is(cerr, ErrDeleted) || (lerr == nil) != (cerr == nil) {
+			t.Errorf("%s %s: Local err %v, Client err %v", id, surface, lerr, cerr)
+		}
+		if !reflect.DeepEqual(lv, cv) {
+			t.Errorf("%s %s: Local %+v, Client %+v", id, surface, lv, cv)
+		}
+	}
+	emptyAsNil := func(posts []FeedPost) []FeedPost {
+		if len(posts) == 0 {
+			return nil
+		}
+		return posts
+	}
+	for _, id := range []string{"102452128776", "31337", "999", "does-not-exist"} {
+		ls, lerr := local.Summary(ctx, id)
+		cs, cerr := c.Summary(ctx, id)
+		same(id, "summary", ls, cs, lerr, cerr)
+
+		lf, lerr := local.Feed(ctx, id)
+		cf, cerr := c.Feed(ctx, id)
+		same(id, "feed", emptyAsNil(lf), emptyAsNil(cf), lerr, cerr)
+
+		li, lerr := local.Install(ctx, id)
+		ci, cerr := c.Install(ctx, id)
+		if len(li.Permissions) == 0 {
+			li.Permissions = nil
+		}
+		if len(ci.Permissions) == 0 {
+			ci.Permissions = nil
+		}
+		same(id, "install", li, ci, lerr, cerr)
+	}
+	if s, err := local.Summary(ctx, "102452128776"); err != nil || s.Name != "FarmVille" {
+		t.Errorf("Local summary of the live app = %+v, %v", s, err)
+	}
+	if _, err := local.Install(ctx, "999"); !errors.Is(err, ErrDeleted) {
+		t.Errorf("Local install of the deleted app: err %v, want ErrDeleted", err)
 	}
 }

@@ -92,17 +92,13 @@ func writeFalse(w http.ResponseWriter) {
 	w.Write([]byte("false"))
 }
 
-func (s *Server) serveSummary(w http.ResponseWriter, _ *http.Request, id string) {
-	app, err := s.Platform.Lookup(id)
-	if err != nil {
-		writeFalse(w)
-		return
-	}
+// summaryOf is the summary document for a live app.
+func summaryOf(app *fbplatform.App) Summary {
 	mau := 0
 	if len(app.MAU) > 0 {
 		mau = app.MAU[len(app.MAU)-1]
 	}
-	doc := Summary{
+	return Summary{
 		ID:                 app.ID,
 		Name:               app.Name,
 		Description:        app.Description,
@@ -111,8 +107,26 @@ func (s *Server) serveSummary(w http.ResponseWriter, _ *http.Request, id string)
 		Link:               "https://www.facebook.com/apps/application.php?id=" + app.ID,
 		MonthlyActiveUsers: mau,
 	}
+}
+
+// feedOf is the profile-feed document for a live app; an empty feed is
+// an empty list, not null.
+func feedOf(app *fbplatform.App) feedDoc {
+	doc := feedDoc{Data: make([]FeedPost, 0, len(app.ProfileFeed))}
+	for _, p := range app.ProfileFeed {
+		doc.Data = append(doc.Data, FeedPost{Message: p.Message, Link: p.Link, CreatedTime: p.Month})
+	}
+	return doc
+}
+
+func (s *Server) serveSummary(w http.ResponseWriter, _ *http.Request, id string) {
+	app, err := s.Platform.Lookup(id)
+	if err != nil {
+		writeFalse(w)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
+	json.NewEncoder(w).Encode(summaryOf(app))
 }
 
 func (s *Server) serveFeed(w http.ResponseWriter, _ *http.Request, id string) {
@@ -121,12 +135,8 @@ func (s *Server) serveFeed(w http.ResponseWriter, _ *http.Request, id string) {
 		writeFalse(w)
 		return
 	}
-	doc := feedDoc{Data: []FeedPost{}}
-	for _, p := range app.ProfileFeed {
-		doc.Data = append(doc.Data, FeedPost{Message: p.Message, Link: p.Link, CreatedTime: p.Month})
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
+	json.NewEncoder(w).Encode(feedOf(app))
 }
 
 // serveInstall models visiting the installation URL: Facebook consults the

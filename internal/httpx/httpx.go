@@ -379,7 +379,12 @@ func (c *Client) attempts(ctx context.Context, method, rawURL, contentType strin
 	return nil, fmt.Errorf("httpx: %s: giving up after attempt %d: %w", svc, made, lastErr)
 }
 
-// once performs a single network attempt and drains the body.
+// once performs a single network attempt and drains the body. It sends
+// through an http.Client rather than straight to the Transport because
+// callers rely on the client following redirects: graphapi.Client.Install
+// fetches /apps/application.php, which answers with a 302 to the /install
+// landing page it parses. An attempt sent through Transport.RoundTrip
+// would have to follow that redirect itself.
 func (c *Client) once(ctx context.Context, method, rawURL, contentType string, body []byte) (*Response, error) {
 	var rd io.Reader
 	if body != nil {

@@ -1,6 +1,7 @@
 package mypagekeeper
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -36,21 +37,19 @@ type IngestConfig struct {
 	// exact call stream in producer order, which is what replay and resume
 	// lean on.
 	WAL *wal.Log
-	// SkipEvents makes the session a crash-recovery resume: the first
-	// SkipEvents event calls are the prefix the WAL already holds, and
-	// are not appended again. Only meaningful when the producer
-	// deterministically regenerates the same event stream (the seeded
-	// generator does). By default skipped calls are dropped entirely —
-	// the caller has already rebuilt monitor state via Replay.
-	SkipEvents uint64
-	// SkipLogOnly changes what a skipped call means: it is still applied
-	// to the monitor, only its WAL append is suppressed. Use this when
-	// the monitor must observe the regenerated stream in real order
-	// rather than by replay — e.g. when classification consults external
-	// service state (the synth world's link resolver) that only exists
-	// mid-regeneration, so replaying the prefix up front would see a
-	// different world than the original run did.
-	SkipLogOnly bool
+	// Resume makes the session continue the stream the WAL already
+	// holds: the producer regenerates its stream from the start, and the
+	// log's existing records are that stream's first events. Each is
+	// applied to the monitor in stream order but not appended again, and
+	// is checked byte for byte against its logged record. The first
+	// mismatch means the log holds another stream: it becomes the
+	// session's error (Err, Close) and nothing more is appended. Only
+	// meaningful when the producer regenerates the same stream
+	// deterministically (the seeded generator does). The prefix is
+	// applied in stream order rather than replayed up front because
+	// classification may consult service state (the synth world's link
+	// resolver) that only exists mid-regeneration.
+	Resume bool
 }
 
 // Ingester fans a single-threaded post stream out across per-shard queues
@@ -80,12 +79,12 @@ type Ingester struct {
 	started time.Time
 	closed  atomic.Bool
 
-	wal          *wal.Log
-	skip         uint64 // event calls still unlogged (crash-recovery resume)
-	applySkipped bool   // skipped calls still apply (IngestConfig.SkipLogOnly)
-	walErr       error  // first WAL failure; surfaced by Err and Close
-	encBuf       []byte // event-encoding scratch, reused across appends
-	closeErr     error
+	wal      *wal.Log
+	logged   *wal.Reader // the log's records still to match (IngestConfig.Resume)
+	unseen   uint64      // how many records logged still holds
+	walErr   error       // first WAL failure; surfaced by Err and Close
+	encBuf   []byte      // event-encoding scratch, reused across appends
+	closeErr error
 
 	posts     *telemetry.CounterVec
 	flushes   *telemetry.CounterVec
@@ -123,12 +122,10 @@ func (m *Monitor) StartIngestWith(cfg IngestConfig) *Ingester {
 	}
 	reg := telemetry.Default()
 	ing := &Ingester{
-		m:            m,
-		queues:       make([]chan ingestItem, workers),
-		started:      time.Now(),
-		wal:          cfg.WAL,
-		skip:         cfg.SkipEvents,
-		applySkipped: cfg.SkipLogOnly,
+		m:       m,
+		queues:  make([]chan ingestItem, workers),
+		started: time.Now(),
+		wal:     cfg.WAL,
 		posts: reg.Counter("frappe_monitor_ingest_posts_total",
 			"Posts enqueued through the monitor's ingestion queues."),
 		flushes: reg.Counter("frappe_monitor_ingest_flushes_total",
@@ -141,6 +138,15 @@ func (m *Monitor) StartIngestWith(cfg IngestConfig) *Ingester {
 			"Ingestion WAL appends or syncs that failed."),
 		seconds: reg.Gauge("frappe_monitor_ingest_session_seconds",
 			"Wall-clock seconds of the last queued-ingestion session."),
+	}
+	if cfg.Resume && cfg.WAL != nil && cfg.WAL.End() > 0 {
+		r, err := cfg.WAL.Reader(0)
+		if err != nil {
+			ing.failWAL(fmt.Errorf("mypagekeeper: resume: %w", err))
+			ing.wal = nil
+		} else {
+			ing.logged, ing.unseen = r, cfg.WAL.End()
+		}
 	}
 	reg.Gauge("frappe_monitor_shards",
 		"Lock stripes in the MyPageKeeper monitor.").With().Set(float64(m.NumShards()))
@@ -181,37 +187,64 @@ func (ing *Ingester) ensureOpen(method string) {
 	}
 }
 
-// skipOne consumes one unit of the crash-recovery skip budget; true means
-// the current event was already recovered by replay and must be dropped.
-func (ing *Ingester) skipOne() bool {
-	if ing.skip == 0 {
-		return false
+// failWAL counts a WAL failure and keeps the first as the session's error.
+func (ing *Ingester) failWAL(err error) {
+	ing.walErrs.With().Inc()
+	if ing.walErr == nil {
+		ing.walErr = err
 	}
-	ing.skip--
-	return true
 }
 
 // logEvent appends one event to the WAL, before the event is enqueued or
-// applied. A failing append does not stop in-memory ingestion — serving
-// availability beats durability mid-stream — but the first error is
-// retained and surfaced by Err and Close, and every failure is counted.
+// applied; in a resumed session, an event the log already holds is
+// matched against its record instead. A failing append does not stop
+// in-memory ingestion — serving availability beats durability
+// mid-stream — but the first error is retained and surfaced by Err and
+// Close, and every failure is counted.
 func (ing *Ingester) logEvent(ev WALEvent) {
 	if ing.wal == nil {
 		return
 	}
 	buf, err := AppendEvent(ing.encBuf[:0], ev)
-	if err == nil {
-		ing.encBuf = buf
-		_, err = ing.wal.Append(buf)
-	}
 	if err != nil {
-		ing.walErrs.With().Inc()
-		if ing.walErr == nil {
-			ing.walErr = err
-		}
+		ing.failWAL(err)
+		return
+	}
+	ing.encBuf = buf
+	if ing.logged != nil {
+		ing.matchLogged(buf)
+		return
+	}
+	if _, err := ing.wal.Append(buf); err != nil {
+		ing.failWAL(err)
 		return
 	}
 	ing.walEvents.With().Inc()
+}
+
+// matchLogged checks a resumed event against the log's next record. On a
+// mismatch the log holds another stream, so the session stops logging:
+// extending it would leave a log that belongs to neither stream.
+func (ing *Ingester) matchLogged(buf []byte) {
+	rec, idx, err := ing.logged.Next()
+	if err == nil && !bytes.Equal(rec, buf) {
+		err = fmt.Errorf("record %d differs from the regenerated event: the log holds another stream", idx)
+	}
+	if err != nil {
+		ing.failWAL(fmt.Errorf("mypagekeeper: resume: %w", err))
+		ing.endResume()
+		ing.wal = nil
+		return
+	}
+	if ing.unseen--; ing.unseen == 0 {
+		ing.endResume()
+	}
+}
+
+// endResume releases the resumed log's reader.
+func (ing *Ingester) endResume() {
+	ing.logged.Close()
+	ing.logged = nil
 }
 
 // syncWAL is the durability barrier: everything logged so far survives a
@@ -232,13 +265,7 @@ func (ing *Ingester) syncWAL() {
 // post's verdict — classification happens when a queue worker lands it.
 func (ing *Ingester) Observe(p fbplatform.Post) {
 	ing.ensureOpen("Observe")
-	if skipped := ing.skipOne(); skipped {
-		if !ing.applySkipped {
-			return
-		}
-	} else {
-		ing.logEvent(WALEvent{Kind: KindPost, Post: p})
-	}
+	ing.logEvent(WALEvent{Kind: KindPost, Post: p})
 	seq := ing.m.seq.Add(1)
 	if ing.queues == nil {
 		ing.m.observeSeq(p, seq)
@@ -263,18 +290,12 @@ func (ing *Ingester) Observe(p fbplatform.Post) {
 // durable churn history for offset-tracked consumers.
 func (ing *Ingester) ObserveInstall(appID string, userID int) {
 	ing.ensureOpen("ObserveInstall")
-	if ing.skipOne() {
-		return
-	}
 	ing.logEvent(WALEvent{Kind: KindInstall, AppID: appID, UserID: userID})
 }
 
 // ObserveRemoval logs a user removing an app.
 func (ing *Ingester) ObserveRemoval(appID string, userID int) {
 	ing.ensureOpen("ObserveRemoval")
-	if ing.skipOne() {
-		return
-	}
 	ing.logEvent(WALEvent{Kind: KindRemoval, AppID: appID, UserID: userID})
 }
 
@@ -309,13 +330,7 @@ func (ing *Ingester) flushQueues() {
 // a blacklist add is a durability barrier.
 func (ing *Ingester) AddBlacklistedURL(url string) {
 	ing.ensureOpen("AddBlacklistedURL")
-	if skipped := ing.skipOne(); skipped {
-		if !ing.applySkipped {
-			return
-		}
-	} else {
-		ing.logEvent(WALEvent{Kind: KindBlacklistURL, Value: url})
-	}
+	ing.logEvent(WALEvent{Kind: KindBlacklistURL, Value: url})
 	if ing.m.urlBlacklistedExact(url) {
 		return
 	}
@@ -328,13 +343,7 @@ func (ing *Ingester) AddBlacklistedURL(url string) {
 // AddBlacklistedDomain is AddBlacklistedURL for domain-granularity entries.
 func (ing *Ingester) AddBlacklistedDomain(domain string) {
 	ing.ensureOpen("AddBlacklistedDomain")
-	if skipped := ing.skipOne(); skipped {
-		if !ing.applySkipped {
-			return
-		}
-	} else {
-		ing.logEvent(WALEvent{Kind: KindBlacklistDomain, Value: domain})
-	}
+	ing.logEvent(WALEvent{Kind: KindBlacklistDomain, Value: domain})
 	if ing.m.domainBlacklistedExact(domain) {
 		return
 	}
@@ -364,12 +373,12 @@ func (ing *Ingester) Close() error {
 	ing.wg.Wait()
 	ing.syncWAL()
 	ing.seconds.With().Set(time.Since(ing.started).Seconds())
-	if ing.skip > 0 {
-		// The resumed stream ended before covering the replayed prefix:
-		// the producer did not regenerate the same stream. State is fine
-		// (nothing was double-applied) but the resume contract is broken.
-		ing.walErr = fmt.Errorf(
-			"mypagekeeper: resume stream ended with %d replayed events still unseen", ing.skip)
+	if ing.logged != nil {
+		// The resumed stream ended inside the log's records: the producer
+		// did not regenerate the same stream.
+		ing.endResume()
+		ing.failWAL(fmt.Errorf(
+			"mypagekeeper: resume stream ended with %d logged events still unseen", ing.unseen))
 	}
 	ing.closeErr = ing.walErr
 	return ing.closeErr

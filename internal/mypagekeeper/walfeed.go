@@ -28,7 +28,7 @@ const (
 	KindPost EventKind = 1
 	// KindBlacklistURL is a URL-granularity blacklist add. Every add call
 	// is logged, including idempotent re-adds — the log is the exact call
-	// stream, which is what makes resume-by-skipping deterministic.
+	// stream, which is what lets a resume match it record by record.
 	KindBlacklistURL EventKind = 2
 	// KindBlacklistDomain is a domain-granularity blacklist add.
 	KindBlacklistDomain EventKind = 3

@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// ReplicaSet runs N HTTP replicas on fixed loopback ports — the cluster
-// e2e harness. Each replica keeps its host:port across restarts (a
-// cluster member's URL is part of its identity), Kill is abrupt
+// ReplicaSet runs N HTTP replicas on fixed loopback ports: a world's
+// services (StartOpts) and the cluster e2e harness. Each replica keeps
+// its host:port across restarts (a cluster member's URL is part of its
+// identity), Kill is abrupt
 // (http.Server.Close tears down the listener and every live connection,
 // the same TCP failure mode a SIGKILLed process presents to clients),
 // and Restart rebinds the same port with a handler built fresh by the

@@ -6,11 +6,7 @@
 package stack
 
 import (
-	"fmt"
-	"net"
 	"net/http"
-	"sync"
-	"time"
 
 	"frappe/internal/bitly"
 	"frappe/internal/fbplatform"
@@ -33,9 +29,7 @@ type Stack struct {
 	// into (request counts, status classes, latency histograms).
 	Telemetry *telemetry.Registry
 
-	servers []*http.Server
-	lns     []net.Listener
-	wg      sync.WaitGroup
+	services *ReplicaSet
 }
 
 // Options configures a stack beyond its world: the telemetry registry
@@ -55,62 +49,38 @@ func Start(w *synth.World) (*Stack, error) {
 	return StartOpts(w, Options{})
 }
 
-// StartWith is Start with an explicit telemetry registry (nil means the
-// process default); tests use it to read metrics in isolation.
-func StartWith(w *synth.World, reg *telemetry.Registry) (*Stack, error) {
-	return StartOpts(w, Options{Telemetry: reg})
-}
-
-// StartOpts is Start with full Options.
+// StartOpts is Start with full Options. The services run as one
+// ReplicaSet, one replica per service name.
 func StartOpts(w *synth.World, opts Options) (*Stack, error) {
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	s := &Stack{Telemetry: reg}
-	type svc struct {
-		name    string
-		handler http.Handler
-		url     *string
-	}
 	graph := graphapi.NewServer(w.Platform)
 	// Posts created over HTTP land on monitored walls.
 	graph.PostSink = func(p fbplatform.Post) { w.Monitor.Observe(p) }
-	services := []svc{
-		{"graph", graph, &s.GraphURL},
-		{"bitly", w.Bitly, &s.BitlyURL},
-		{"wot", w.WOT, &s.WOTURL},
-		{"socialbakers", w.SocialBakers, &s.SocialBakersURL},
-		{"redirector", w.Redirector, &s.RedirectorURL},
-	}
-	for _, service := range services {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("stack: listen: %w", err)
-		}
-		*service.url = "http://" + ln.Addr().String()
+	names := []string{"graph", "bitly", "wot", "socialbakers", "redirector"}
+	handlers := []http.Handler{graph, w.Bitly, w.WOT, w.SocialBakers, w.Redirector}
+	services, err := StartReplicas(names, func(i int, name string) http.Handler {
 		// Faults inject inside the telemetry middleware, so injected 502s
 		// and hangs are visible in the per-service request metrics.
-		handler := service.handler
+		h := handlers[i]
 		if opts.Faults != nil {
-			handler = opts.Faults.wrap(reg, service.name, handler)
+			h = opts.Faults.wrap(reg, name, h)
 		}
-		srv := &http.Server{
-			Handler:           telemetry.Middleware(reg, service.name, handler),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		s.servers = append(s.servers, srv)
-		s.lns = append(s.lns, ln)
-		s.wg.Add(1)
-		go func(srv *http.Server, ln net.Listener) {
-			defer s.wg.Done()
-			// ErrServerClosed is the normal shutdown path.
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				// Nothing useful to do here; the listener is gone.
-				_ = err
-			}
-		}(srv, ln)
+		return telemetry.Middleware(reg, name, h)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := &Stack{
+		GraphURL:        services.URL(0),
+		BitlyURL:        services.URL(1),
+		WOTURL:          services.URL(2),
+		SocialBakersURL: services.URL(3),
+		RedirectorURL:   services.URL(4),
+		Telemetry:       reg,
+		services:        services,
 	}
 	// Short links must resolve against the running bit.ly server.
 	w.Bitly.SetBaseURL(s.BitlyURL)
@@ -126,12 +96,4 @@ func (s *Stack) Clients() (*graphapi.Client, *bitly.Client, *wot.Client, *social
 }
 
 // Close shuts every server down and waits for them to stop serving.
-func (s *Stack) Close() {
-	for _, srv := range s.servers {
-		_ = srv.Close()
-	}
-	for _, ln := range s.lns {
-		_ = ln.Close()
-	}
-	s.wg.Wait()
-}
+func (s *Stack) Close() { s.services.Close() }

@@ -73,7 +73,7 @@ func TestMiddlewareRecordsAndMetricsServe(t *testing.T) {
 	cfg.Scale = 0.005
 	w := synth.Generate(cfg)
 	reg := telemetry.New()
-	st, err := StartWith(w, reg)
+	st, err := StartOpts(w, Options{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

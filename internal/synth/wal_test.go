@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +44,29 @@ func TestWALDirResumesExistingLog(t *testing.T) {
 	}
 	if sa, sb := first.Monitor.Stats(), second.Monitor.Stats(); sa != sb {
 		t.Errorf("monitor stats differ: %+v vs %+v", sa, sb)
+	}
+}
+
+// TestWALDirRefusesAnotherWorldsLog: generating into a directory that
+// holds another world's log fails at the first record the two streams
+// disagree on, and leaves that log as it was instead of extending it.
+func TestWALDirRefusesAnotherWorldsLog(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Scale = 0.002
+	cfg.WALDir = t.TempDir()
+	Generate(cfg)
+	written := walSize(t, cfg.WALDir)
+
+	cfg.Scale = 0.003
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "differs from the regenerated event") {
+				t.Errorf("generating over another world's log: panic %v, want a record mismatch", r)
+			}
+		}()
+		Generate(cfg)
+	}()
+	if got := walSize(t, cfg.WALDir); got != written {
+		t.Errorf("log is %d bytes after the refused generation, want the %d it held", got, written)
 	}
 }

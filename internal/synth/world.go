@@ -298,12 +298,10 @@ func (w *World) addBlacklistedURL(url string) {
 // beginIngest opens the queued-ingestion session that observe and
 // addBlacklistedURL route through. With Config.WALDir set the session is
 // durable: every event is appended to the log before it is applied, and
-// the events an existing (possibly torn-and-truncated) log already holds
-// are not appended again — they are still applied, in regenerated stream
-// order, because the monitor's classification consults live service
-// state (the bit.ly resolver) that only exists mid-generation; replaying
-// the prefix up front would observe a different world than the original
-// run did.
+// the session resumes whatever (possibly torn-and-truncated) log the
+// directory already holds: the events it holds are applied but not
+// appended again, and a log this generation's stream does not begin
+// with fails the session instead of being extended.
 func (w *World) beginIngest(workers int) {
 	cfg := mypagekeeper.IngestConfig{Workers: workers}
 	if w.Config.WALDir != "" {
@@ -313,9 +311,8 @@ func (w *World) beginIngest(workers int) {
 		}
 		w.walLog = l
 		cfg.WAL = l
+		cfg.Resume = true
 		w.WALResumed = l.End()
-		cfg.SkipEvents = l.End()
-		cfg.SkipLogOnly = true
 	}
 	w.ingest = w.Monitor.StartIngestWith(cfg)
 }

@@ -63,6 +63,16 @@ func (s *Service) Score(domain string) (int, error) {
 	return score, nil
 }
 
+// ScoreOrUnknown is Client.ScoreOrUnknown answered in process: the score
+// for the domain of rawURL, or UnknownScore.
+func (s *Service) ScoreOrUnknown(_ context.Context, rawURL string) int {
+	score, err := s.Score(DomainOf(rawURL))
+	if err != nil {
+		return UnknownScore
+	}
+	return score
+}
+
 // NumDomains reports how many domains have a recorded score.
 func (s *Service) NumDomains() int {
 	s.mu.RLock()

@@ -109,13 +109,21 @@ func TestScoreOrUnknown(t *testing.T) {
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
 
-	if got := c.ScoreOrUnknown(context.Background(), "http://good.example/install"); got != 80 {
-		t.Errorf("known = %d, want 80", got)
-	}
-	if got := c.ScoreOrUnknown(context.Background(), "http://evil.example/x"); got != UnknownScore {
-		t.Errorf("unknown = %d, want %d", got, UnknownScore)
-	}
-	if got := c.ScoreOrUnknown(context.Background(), ""); got != UnknownScore {
-		t.Errorf("empty URL = %d, want %d", got, UnknownScore)
+	// The Service answers in process what the Client reads over HTTP.
+	for _, tc := range []struct {
+		url  string
+		want int
+	}{
+		{"http://good.example/install", 80},
+		{"http://evil.example/x", UnknownScore},
+		{"", UnknownScore},
+		{"http:///no-host", UnknownScore},
+	} {
+		if got := c.ScoreOrUnknown(context.Background(), tc.url); got != tc.want {
+			t.Errorf("Client.ScoreOrUnknown(%q) = %d, want %d", tc.url, got, tc.want)
+		}
+		if got := svc.ScoreOrUnknown(context.Background(), tc.url); got != tc.want {
+			t.Errorf("Service.ScoreOrUnknown(%q) = %d, want %d", tc.url, got, tc.want)
+		}
 	}
 }

@@ -98,9 +98,8 @@ func NewWatchdogWith(clf *Classifier, cfg WatchdogConfig) (*Watchdog, error) {
 		})
 	}
 	c, err := crawler.New(crawler.Config{
-		Graph:   &graphapi.Client{BaseURL: cfg.GraphURL, HTTP: transport("graph")},
-		WOT:     &wot.Client{BaseURL: cfg.WOTURL, HTTP: transport("wot")},
-		Workers: 1,
+		Graph: &graphapi.Client{BaseURL: cfg.GraphURL, HTTP: transport("graph")},
+		WOT:   &wot.Client{BaseURL: cfg.WOTURL, HTTP: transport("wot")},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("frappe: %w", err)
@@ -165,14 +164,7 @@ func (w *Watchdog) Evaluate(ctx context.Context, appID string) (Verdict, error) 
 }
 
 func (w *Watchdog) evaluateWith(ctx context.Context, clf *Classifier, appID string) (Verdict, error) {
-	results, err := w.crawler.Crawl(ctx, []string{appID})
-	if err != nil {
-		return Verdict{AppID: appID}, err
-	}
-	r, ok := results[appID]
-	if !ok {
-		return Verdict{AppID: appID}, fmt.Errorf("frappe: no crawl result for %s", appID)
-	}
+	r := w.crawler.CrawlApp(ctx, appID)
 	// A summary crawl that failed for any reason other than deletion (the
 	// Graph endpoint unreachable, say) is a crawl failure, not a verdict:
 	// without this distinction a network outage would report every app as
