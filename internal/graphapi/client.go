@@ -88,12 +88,26 @@ func (c *Client) Feed(ctx context.Context, id string) ([]FeedPost, error) {
 
 // Install follows the app installation URL and scrapes the client_id,
 // permission set, and redirect URI from the landing page, the §4.1.2/§4.1.4
-// crawl. Deleted apps yield ErrDeleted.
+// crawl. The installation URL answers with a 302 to the landing page;
+// Install follows that one hop itself (httpx returns redirects as they
+// come), and any other redirect is an error. Deleted apps yield ErrDeleted.
 func (c *Client) Install(ctx context.Context, id string) (InstallInfo, error) {
 	u := strings.TrimRight(c.BaseURL, "/") + "/apps/application.php?id=" + url.QueryEscape(id)
 	resp, err := c.transport().Get(ctx, u)
 	if err != nil {
 		return InstallInfo{}, fmt.Errorf("graphapi: %w", err)
+	}
+	if loc := resp.Header.Get("Location"); resp.StatusCode == http.StatusFound && loc != "" {
+		landing, err := url.Parse(u)
+		if err == nil {
+			landing, err = landing.Parse(loc)
+		}
+		if err != nil {
+			return InstallInfo{}, fmt.Errorf("graphapi: install redirect: %w", err)
+		}
+		if resp, err = c.transport().Get(ctx, landing.String()); err != nil {
+			return InstallInfo{}, fmt.Errorf("graphapi: %w", err)
+		}
 	}
 	if resp.StatusCode == http.StatusNotFound {
 		return InstallInfo{}, ErrDeleted

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"frappe/internal/fbplatform"
+	"frappe/internal/httpx"
+	"frappe/internal/telemetry"
 )
 
 func newTestWorld(t *testing.T) (*fbplatform.Platform, *Client, func()) {
@@ -167,6 +169,55 @@ func TestInstall(t *testing.T) {
 	}
 	if len(benign.Permissions) != 3 {
 		t.Errorf("benign perms = %v", benign.Permissions)
+	}
+}
+
+// TestInstallFollowsOneRedirect: Install follows the installation URL's
+// 302 itself, resolving a relative Location, and follows nothing else: a
+// second redirect or any other 3xx is an error, and a 404 on the
+// installation URL is a deletion.
+func TestInstallFollowsOneRedirect(t *testing.T) {
+	landing := `{"app_id":"7","client_id":"8","perms":"email","redirect_uri":"http://x.example/"}`
+	cases := []struct {
+		name        string
+		status      int    // the installation URL's answer
+		location    string // its Location header
+		wantErr     bool
+		wantDeleted bool
+	}{
+		{name: "302 to the landing page", status: http.StatusFound, location: "/install?app_id=7"},
+		{name: "302 to a second redirect", status: http.StatusFound, location: "/again", wantErr: true},
+		{name: "301", status: http.StatusMovedPermanently, location: "/install?app_id=7", wantErr: true},
+		{name: "302 without Location", status: http.StatusFound, wantErr: true},
+		{name: "deleted", status: http.StatusNotFound, wantErr: true, wantDeleted: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/apps/application.php":
+					if tc.location != "" {
+						w.Header().Set("Location", tc.location)
+					}
+					w.WriteHeader(tc.status)
+				case "/again":
+					http.Redirect(w, r, "/install?app_id=7", http.StatusFound)
+				case "/install":
+					io.WriteString(w, landing)
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer srv.Close()
+			c := &Client{BaseURL: srv.URL, HTTP: httpx.New(httpx.Config{MaxAttempts: 1, Telemetry: telemetry.New()})}
+			info, err := c.Install(context.Background(), "7")
+			if (err != nil) != tc.wantErr || errors.Is(err, ErrDeleted) != tc.wantDeleted {
+				t.Fatalf("Install = %+v, %v; want error %v, deleted %v", info, err, tc.wantErr, tc.wantDeleted)
+			}
+			if err == nil && (info.ClientID != "8" || len(info.Permissions) != 1 || info.Permissions[0] != "email") {
+				t.Errorf("landing page scraped as %+v", info)
+			}
+		})
 	}
 }
 

@@ -86,12 +86,14 @@ type Ingester struct {
 	encBuf   []byte      // event-encoding scratch, reused across appends
 	closeErr error
 
-	posts     *telemetry.CounterVec
-	flushes   *telemetry.CounterVec
-	barriers  *telemetry.CounterVec
-	walErrs   *telemetry.CounterVec
-	walEvents *telemetry.CounterVec
-	seconds   *telemetry.GaugeVec
+	// The session's series, resolved once: Observe bumps posts (and, with
+	// a WAL, walEvents) for every post.
+	posts     *telemetry.Counter
+	flushes   *telemetry.Counter
+	barriers  *telemetry.Counter
+	walErrs   *telemetry.Counter
+	walEvents *telemetry.Counter
+	seconds   *telemetry.Gauge
 }
 
 // StartIngest opens a queued-ingestion session with the given number of
@@ -127,17 +129,17 @@ func (m *Monitor) StartIngestWith(cfg IngestConfig) *Ingester {
 		started: time.Now(),
 		wal:     cfg.WAL,
 		posts: reg.Counter("frappe_monitor_ingest_posts_total",
-			"Posts enqueued through the monitor's ingestion queues."),
+			"Posts enqueued through the monitor's ingestion queues.").With(),
 		flushes: reg.Counter("frappe_monitor_ingest_flushes_total",
-			"Full-queue flush barriers issued during ingestion."),
+			"Full-queue flush barriers issued during ingestion.").With(),
 		barriers: reg.Counter("frappe_monitor_ingest_blacklist_barriers_total",
-			"Flush barriers forced by blacklist updates mid-stream."),
+			"Flush barriers forced by blacklist updates mid-stream.").With(),
 		walEvents: reg.Counter("frappe_monitor_ingest_wal_events_total",
-			"Ingestion events appended to the write-ahead log."),
+			"Ingestion events appended to the write-ahead log.").With(),
 		walErrs: reg.Counter("frappe_monitor_ingest_wal_errors_total",
-			"Ingestion WAL appends or syncs that failed."),
+			"Ingestion WAL appends or syncs that failed.").With(),
 		seconds: reg.Gauge("frappe_monitor_ingest_session_seconds",
-			"Wall-clock seconds of the last queued-ingestion session."),
+			"Wall-clock seconds of the last queued-ingestion session.").With(),
 	}
 	if cfg.Resume && cfg.WAL != nil && cfg.WAL.End() > 0 {
 		r, err := cfg.WAL.Reader(0)
@@ -189,7 +191,7 @@ func (ing *Ingester) ensureOpen(method string) {
 
 // failWAL counts a WAL failure and keeps the first as the session's error.
 func (ing *Ingester) failWAL(err error) {
-	ing.walErrs.With().Inc()
+	ing.walErrs.Inc()
 	if ing.walErr == nil {
 		ing.walErr = err
 	}
@@ -219,7 +221,7 @@ func (ing *Ingester) logEvent(ev WALEvent) {
 		ing.failWAL(err)
 		return
 	}
-	ing.walEvents.With().Inc()
+	ing.walEvents.Inc()
 }
 
 // matchLogged checks a resumed event against the log's next record. On a
@@ -254,10 +256,7 @@ func (ing *Ingester) syncWAL() {
 		return
 	}
 	if err := ing.wal.Sync(); err != nil {
-		ing.walErrs.With().Inc()
-		if ing.walErr == nil {
-			ing.walErr = err
-		}
+		ing.failWAL(err)
 	}
 }
 
@@ -269,7 +268,7 @@ func (ing *Ingester) Observe(p fbplatform.Post) {
 	seq := ing.m.seq.Add(1)
 	if ing.queues == nil {
 		ing.m.observeSeq(p, seq)
-		ing.posts.With().Inc()
+		ing.posts.Inc()
 		return
 	}
 	var qi uint64
@@ -282,7 +281,7 @@ func (ing *Ingester) Observe(p fbplatform.Post) {
 		qi = seq % uint64(len(ing.queues))
 	}
 	ing.queues[qi] <- ingestItem{post: p, seq: seq}
-	ing.posts.With().Inc()
+	ing.posts.Inc()
 }
 
 // ObserveInstall logs a user installing an app. The monitor keeps no
@@ -309,7 +308,7 @@ func (ing *Ingester) Flush() {
 
 func (ing *Ingester) flushQueues() {
 	if ing.queues == nil {
-		ing.flushes.With().Inc()
+		ing.flushes.Inc()
 		return
 	}
 	var wg sync.WaitGroup
@@ -318,7 +317,7 @@ func (ing *Ingester) flushQueues() {
 		q <- ingestItem{flush: &wg}
 	}
 	wg.Wait()
-	ing.flushes.With().Inc()
+	ing.flushes.Inc()
 }
 
 // AddBlacklistedURL adds a URL-granularity blacklist entry, sequenced
@@ -334,7 +333,7 @@ func (ing *Ingester) AddBlacklistedURL(url string) {
 	if ing.m.urlBlacklistedExact(url) {
 		return
 	}
-	ing.barriers.With().Inc()
+	ing.barriers.Inc()
 	ing.flushQueues()
 	ing.syncWAL()
 	ing.m.AddBlacklistedURL(url)
@@ -347,7 +346,7 @@ func (ing *Ingester) AddBlacklistedDomain(domain string) {
 	if ing.m.domainBlacklistedExact(domain) {
 		return
 	}
-	ing.barriers.With().Inc()
+	ing.barriers.Inc()
 	ing.flushQueues()
 	ing.syncWAL()
 	ing.m.AddBlacklistedDomain(domain)
@@ -372,7 +371,7 @@ func (ing *Ingester) Close() error {
 	}
 	ing.wg.Wait()
 	ing.syncWAL()
-	ing.seconds.With().Set(time.Since(ing.started).Seconds())
+	ing.seconds.Set(time.Since(ing.started).Seconds())
 	if ing.logged != nil {
 		// The resumed stream ended inside the log's records: the producer
 		// did not regenerate the same stream.

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"frappe/internal/fbplatform"
 	"frappe/internal/wot"
@@ -77,6 +78,12 @@ type urlStats struct {
 	// message histogram, capped: campaign posts repeat a handful of texts.
 	messages map[string]int
 	flagged  bool
+	// external is isExternal(URL), decided once when the URL is first seen.
+	external bool
+	// target is the URL the blacklists were last checked against (the
+	// resolver's expansion, or the URL itself) and domain its domain, so
+	// classify parses a URL again only when the resolver's answer changes.
+	target, domain string
 }
 
 const maxTrackedMessages = 32
@@ -122,8 +129,10 @@ type appAgg struct {
 type Monitor struct {
 	cfg ClassifierConfig
 
-	subMu      sync.RWMutex
-	subscribed map[int]bool
+	// subscribers is read lock-free on every post; subMu orders writers
+	// (see subscribers.go).
+	subMu       sync.Mutex
+	subscribers atomic.Pointer[subscriberSet]
 
 	// The blacklists are global (checked by every shard's classify path)
 	// and mutated rarely; blMu is only ever taken after a URL-shard lock,
@@ -199,13 +208,13 @@ func NewSharded(cfg ClassifierConfig, shards int) *Monitor {
 		shards = 1
 	}
 	m := &Monitor{
-		cfg:        cfg,
-		subscribed: make(map[int]bool),
-		blacklist:  make(map[string]bool),
-		urlBlack:   make(map[string]bool),
-		urlShards:  make([]urlShard, shards),
-		appShards:  make([]appShard, shards),
+		cfg:       cfg,
+		blacklist: make(map[string]bool),
+		urlBlack:  make(map[string]bool),
+		urlShards: make([]urlShard, shards),
+		appShards: make([]appShard, shards),
 	}
+	m.subscribers.Store(&subscriberSet{})
 	for i := range m.urlShards {
 		m.urlShards[i].urls = make(map[string]*urlStats)
 	}
@@ -235,29 +244,6 @@ func (m *Monitor) urlShardFor(link string) *urlShard {
 
 func (m *Monitor) appShardFor(appID string) *appShard {
 	return &m.appShards[fnv32a(appID)%uint32(len(m.appShards))]
-}
-
-// Subscribe registers a user wall for monitoring.
-func (m *Monitor) Subscribe(userID int) {
-	m.subMu.Lock()
-	defer m.subMu.Unlock()
-	m.subscribed[userID] = true
-}
-
-// SubscribeRange subscribes users [lo, hi).
-func (m *Monitor) SubscribeRange(lo, hi int) {
-	m.subMu.Lock()
-	defer m.subMu.Unlock()
-	for u := lo; u < hi; u++ {
-		m.subscribed[u] = true
-	}
-}
-
-// NumSubscribers reports the monitored population size.
-func (m *Monitor) NumSubscribers() int {
-	m.subMu.RLock()
-	defer m.subMu.RUnlock()
-	return len(m.subscribed)
 }
 
 // AddBlacklistedDomain feeds the external URL-blacklist signal (the real
@@ -294,11 +280,14 @@ func (m *Monitor) domainBlacklistedExact(domain string) bool {
 	return m.blacklist[strings.ToLower(domain)]
 }
 
-// hasSpamKeyword reports whether msg contains any spam lure keyword.
-func hasSpamKeyword(msg string) bool {
-	lower := strings.ToLower(msg)
+// hasSpamKeyword reports whether a normalised message (normalizeMsg)
+// contains any spam lure keyword. Testing the normalised text is the same
+// as testing strings.ToLower(msg): no keyword holds whitespace, so each
+// occurrence lies inside one whitespace-separated field, and normalizeMsg
+// only changes what lies between fields.
+func hasSpamKeyword(norm string) bool {
 	for _, k := range SpamKeywords {
-		if strings.Contains(lower, k) {
+		if strings.Contains(norm, k) {
 			return true
 		}
 	}
@@ -319,10 +308,7 @@ func (m *Monitor) Observe(p fbplatform.Post) bool {
 // post. The URL phase runs first and its shard lock is released before the
 // app shard is taken — at most one shard lock is ever held at a time.
 func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
-	m.subMu.RLock()
-	sub := m.subscribed[p.UserID]
-	m.subMu.RUnlock()
-	if !sub {
+	if !m.subscribed(p.UserID) {
 		return false
 	}
 	m.posts.Add(1)
@@ -334,32 +320,31 @@ func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
 	// (the flag point, the capped message histogram) depends only on the
 	// sequence of posts carrying this one URL, which a shard's mutex —
 	// and, under an Ingester, per-URL queue routing — preserves.
-	flagged := false
+	flagged, external := false, false
 	if p.Link != "" {
+		norm := normalizeMsg(p.Message)
 		sh := m.urlShardFor(p.Link)
 		sh.mu.Lock()
 		us := sh.urls[p.Link]
 		if us == nil {
-			us = &urlStats{messages: make(map[string]int, 4)}
+			us = newURLStats(p.Link)
 			sh.urls[p.Link] = us
 		}
 		us.posts++
-		if hasSpamKeyword(p.Message) {
+		if hasSpamKeyword(norm) {
 			us.keywordPosts++
 		}
 		us.likesTotal += p.Likes
 		if len(us.messages) < maxTrackedMessages {
-			us.messages[normalizeMsg(p.Message)]++
-		} else {
+			us.messages[norm]++
+		} else if _, ok := us.messages[norm]; ok {
 			// Track only already-seen messages once the histogram is full.
-			if _, ok := us.messages[normalizeMsg(p.Message)]; ok {
-				us.messages[normalizeMsg(p.Message)]++
-			}
+			us.messages[norm]++
 		}
 		if !us.flagged {
 			us.flagged = m.classify(p.Link, us)
 		}
-		flagged = us.flagged
+		flagged, external = us.flagged, us.external
 		sh.mu.Unlock()
 	}
 
@@ -381,7 +366,7 @@ func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
 		as.posts++
 		if p.Link != "" {
 			as.linkPosts++
-			if isExternal(p.Link) {
+			if external {
 				as.externalLinks++
 			}
 			as.links.add(seq, p.Link)
@@ -410,8 +395,11 @@ func (m *Monitor) classify(link string, us *urlStats) bool {
 			target = long
 		}
 	}
+	if target != us.target {
+		us.target, us.domain = target, wot.DomainOf(target)
+	}
 	m.blMu.RLock()
-	bad := m.urlBlack[target] || m.domainBlacklistedLocked(wot.DomainOf(target))
+	bad := m.urlBlack[target] || m.domainBlacklistedLocked(us.domain)
 	m.blMu.RUnlock()
 	if bad {
 		return true
@@ -457,14 +445,59 @@ func (m *Monitor) domainBlacklistedLocked(domain string) bool {
 	return false
 }
 
-// normalizeMsg canonicalises post text for the similarity histogram.
-func normalizeMsg(msg string) string {
-	return strings.Join(strings.Fields(strings.ToLower(msg)), " ")
+// newURLStats starts the aggregate of a URL seen for the first time. Its
+// domain is parsed here once, for both isExternal and the blacklist check.
+func newURLStats(link string) *urlStats {
+	d := wot.DomainOf(link)
+	return &urlStats{
+		messages: make(map[string]int, 4),
+		external: isExternal(d),
+		target:   link,
+		domain:   d,
+	}
 }
 
-// isExternal reports whether link points outside facebook.com (§4.2.2).
-func isExternal(link string) bool {
-	d := wot.DomainOf(link)
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// normalizeMsg canonicalises post text for the similarity histogram and
+// the keyword test: strings.Join(strings.Fields(strings.ToLower(msg)), " ").
+// ASCII text, nearly every post, takes one pass that lowercases and
+// collapses whitespace, and returns msg itself when it is already in
+// canonical form; any byte at or above 0x80 falls back to the expression.
+func normalizeMsg(msg string) string {
+	var stack [128]byte
+	out := stack[:0]
+	changed, space := false, false
+	for i := 0; i < len(msg); i++ {
+		c := msg[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return strings.Join(strings.Fields(strings.ToLower(msg)), " ")
+		case asciiSpace[c]:
+			// Only a single ' ' between two words is already canonical.
+			changed = changed || c != ' ' || space || len(out) == 0
+			space = len(out) > 0
+			continue
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+			changed = true
+		}
+		if space {
+			out = append(out, ' ')
+			space = false
+		}
+		out = append(out, c)
+	}
+	if !changed && !space {
+		return msg
+	}
+	return string(out)
+}
+
+// isExternal reports whether a link on domain d points outside
+// facebook.com (§4.2.2).
+func isExternal(d string) bool {
 	return d != "facebook.com" && !strings.HasSuffix(d, ".facebook.com")
 }
 

@@ -223,10 +223,36 @@ func TestConcurrentObserve(t *testing.T) {
 }
 
 func TestSpamKeywordMatching(t *testing.T) {
-	if !hasSpamKeyword("Get your FREE 450 FACEBOOK CREDITS") {
+	if !hasSpamKeyword(normalizeMsg("Get your FREE 450 FACEBOOK CREDITS")) {
 		t.Error("FREE should match")
 	}
-	if hasSpamKeyword("I harvested my carrots") {
+	if hasSpamKeyword(normalizeMsg("I harvested my carrots")) {
 		t.Error("benign text should not match")
+	}
+}
+
+// TestResolverInstalledMidStream: a short link observed before a resolver
+// exists is classified by its own domain; once SetResolver expands it to a
+// blacklisted domain, its next post is flagged. The per-URL domain cache
+// must follow the resolver's answer, not the link alone.
+func TestResolverInstalledMidStream(t *testing.T) {
+	m := New(DefaultClassifierConfig())
+	m.Subscribe(1)
+	m.AddBlacklistedDomain("scam.example")
+	const short = "http://bit.ly/abc"
+	if m.Observe(post("a", 1, "hello", short, 5)) {
+		t.Fatal("short link flagged before any resolver could expand it")
+	}
+	m.SetResolver(func(link string) (string, bool) {
+		if link == short {
+			return "http://cdn.scam.example/lure", true
+		}
+		return "", false
+	})
+	if !m.Observe(post("a", 1, "hello", short, 5)) {
+		t.Fatal("short link not flagged once the resolver expands it to a blacklisted domain")
+	}
+	if as := m.Apps()["a"]; as.ExternalLinks != 2 || as.FlaggedPosts != 2 {
+		t.Errorf("app = %+v, want 2 external links and 2 retroactively flagged posts", as)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -315,13 +316,24 @@ func (g *generator) benignProfileFeed(popular bool) []fbplatform.ProfilePost {
 	}
 	feed := make([]fbplatform.ProfilePost, 0, n)
 	for i := 0; i < n; i++ {
-		msg := fmt.Sprintf(benignMessages[g.rngProfile.Intn(len(benignMessages))], g.rngProfile.Intn(10000))
+		msg := fillInt(benignMessages[g.rngProfile.Intn(len(benignMessages))], g.rngProfile.Intn(10000))
 		feed = append(feed, fbplatform.ProfilePost{
 			Message: msg,
 			Month:   pickMonth(g.rngProfile, g.cfg.Months),
 		})
 	}
 	return feed
+}
+
+// fillInt is fmt.Sprintf(tmpl, n) for a template whose one '%' starts a
+// %d, as in every benignMessages entry: the post streams format one per
+// post, in a single allocation.
+func fillInt(tmpl string, n int) string {
+	i := strings.IndexByte(tmpl, '%')
+	var buf [64]byte
+	b := append(buf[:0], tmpl[:i]...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return string(append(b, tmpl[i+2:]...))
 }
 
 // ---- Malicious side ----
@@ -672,7 +684,7 @@ func (g *generator) maliciousProfileFeed(h *Hacker) []fbplatform.ProfilePost {
 		dom := h.Domains[g.rngProfile.Intn(len(h.Domains))]
 		feed = append(feed, fbplatform.ProfilePost{
 			Message: scamMessages[g.rngProfile.Intn(len(scamMessages))],
-			Link:    fmt.Sprintf("http://%s/freebies%d", dom, i),
+			Link:    "http://" + dom + "/freebies" + strconv.Itoa(i),
 			Month:   pickMonth(g.rngProfile, g.cfg.Months),
 		})
 	}
@@ -793,14 +805,14 @@ func (g *generator) streamBenignAppPosts(id string) {
 			AppID:       id,
 			SourceAppID: id,
 			UserID:      rng.Intn(cfg.NumUsers()),
-			Message:     fmt.Sprintf(benignMessages[rng.Intn(len(benignMessages))], rng.Intn(100000)),
+			Message:     fillInt(benignMessages[rng.Intn(len(benignMessages))], rng.Intn(100000)),
 			Month:       pickMonth(rng, cfg.Months),
 			Likes:       int(rng.ClampedPareto(1, 1.2, 500)),
 		}
 		switch {
 		case external && rng.Bool(extRate):
 			d := g.benignNewsDomains[rng.Intn(len(g.benignNewsDomains))]
-			p.Link = fmt.Sprintf("http://%s/story%d", d, rng.Intn(5000))
+			p.Link = "http://" + d + "/story" + strconv.Itoa(rng.Intn(5000))
 		case rng.Bool(0.5):
 			p.Link = "https://apps.facebook.com/" + slug
 		}
@@ -893,7 +905,7 @@ func (g *generator) streamMaliciousAppPosts(camp *campaign, id string) {
 		}
 		msg := camp.message
 		if camp.evasive {
-			msg = fmt.Sprintf("%s [%d]", evasiveMessages[rng.Intn(len(evasiveMessages))], rng.Intn(1_000_000))
+			msg = evasiveMessages[rng.Intn(len(evasiveMessages))] + " [" + strconv.Itoa(rng.Intn(1_000_000)) + "]"
 		}
 		p := fbplatform.Post{
 			AppID:         id,
@@ -944,7 +956,7 @@ func (g *generator) streamPiggybackPosts() {
 		for i := 0; i < n; i++ {
 			h := flagged[rng.Intn(len(flagged))]
 			source := h.AppIDs[rng.Intn(len(h.AppIDs))]
-			long := fmt.Sprintf("http://%s/credits%d", h.Domains[0], h.ID)
+			long := "http://" + h.Domains[0] + "/credits" + strconv.Itoa(h.ID)
 			// Piggyback lures reuse the hackers' blacklisted campaign
 			// infrastructure, so the monitor flags them. Routed through
 			// the ingester: the first add per hacker must be ordered
@@ -1004,10 +1016,10 @@ func (g *generator) genManualPosts() {
 			g.w.manualLinkCounts[p.Link]++
 		} else if rng.Bool(0.4) {
 			d := g.benignNewsDomains[rng.Intn(len(g.benignNewsDomains))]
-			p.Link = fmt.Sprintf("http://%s/story%d", d, rng.Intn(5000))
-			p.Message = fmt.Sprintf("interesting read %d", rng.Intn(100000))
+			p.Link = "http://" + d + "/story" + strconv.Itoa(rng.Intn(5000))
+			p.Message = "interesting read " + strconv.Itoa(rng.Intn(100000))
 		} else {
-			p.Message = fmt.Sprintf("status update %d", rng.Intn(1_000_000))
+			p.Message = "status update " + strconv.Itoa(rng.Intn(1_000_000))
 		}
 		g.w.observe(p)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -427,6 +428,22 @@ func TestTypoOf(t *testing.T) {
 	}
 	if len(typoOf("FarmVille")) != len("FarmVille")-1 {
 		t.Error("typoOf should drop one character")
+	}
+}
+
+// TestFillIntMatchesSprintf: every benignMessages template holds exactly
+// one %d and no other '%', so fillInt formats it as fmt.Sprintf does.
+func TestFillIntMatchesSprintf(t *testing.T) {
+	for _, tmpl := range benignMessages {
+		if strings.Count(tmpl, "%d") != 1 || strings.Count(tmpl, "%") != 1 {
+			t.Errorf("template %q must hold exactly one %%d and no other %%", tmpl)
+			continue
+		}
+		for _, n := range []int{0, 9, 99999} {
+			if got, want := fillInt(tmpl, n), fmt.Sprintf(tmpl, n); got != want {
+				t.Errorf("fillInt(%q, %d) = %q, want %q", tmpl, n, got, want)
+			}
+		}
 	}
 }
 
