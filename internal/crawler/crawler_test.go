@@ -256,34 +256,59 @@ func TestCrawlTelemetry(t *testing.T) {
 
 // TestDeletedAppCostsOneRequest: a deleted app answers `false` on every
 // surface, so a summary answered deleted ends its crawl: one Graph-API
-// request, feed and install reported deleted, one attempt counted.
+// request, feed and install reported deleted, one attempt counted. A
+// live, crawlable app costs one request per surface, three in all: its
+// install is read from the installation URL's 302, and nothing fetches
+// the redirect's target.
 func TestDeletedAppCostsOneRequest(t *testing.T) {
-	p, _, done := testStack(t)
-	defer done()
-	inner := graphapi.NewServer(p)
-	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	reg := telemetry.New()
-	c, err := New(Config{Graph: &graphapi.Client{BaseURL: srv.URL}, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		id       string
+		deleted  bool
+		requests int32
+		attempts map[string]uint64
+	}{
+		{name: "deleted", id: "3", deleted: true, requests: 1, attempts: map[string]uint64{"summary": 1, "feed": 0, "install": 0}},
+		{name: "live", id: "1", requests: 3, attempts: map[string]uint64{"summary": 1, "feed": 1, "install": 1}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _, done := testStack(t)
+			defer done()
+			inner := graphapi.NewServer(p)
+			var hits atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				if r.URL.Path == "/install" {
+					t.Errorf("crawl fetched the install redirect's target %s", r.URL)
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			reg := telemetry.New()
+			c, err := New(Config{Graph: &graphapi.Client{BaseURL: srv.URL}, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	r := c.CrawlApp(context.Background(), "3")
-	if !r.Deleted() || !errors.Is(r.FeedErr, graphapi.ErrDeleted) || !errors.Is(r.InstallErr, graphapi.ErrDeleted) {
-		t.Errorf("deleted app: summary %v, feed %v, install %v; want ErrDeleted on all three",
-			r.SummaryErr, r.FeedErr, r.InstallErr)
-	}
-	if n := hits.Load(); n != 1 {
-		t.Errorf("Graph-API requests = %d, want 1", n)
-	}
-	for kind, want := range map[string]uint64{"summary": 1, "feed": 0, "install": 0} {
-		if got := reg.CounterValue("frappe_crawl_attempts_total", kind); got != want {
-			t.Errorf("%s attempts = %d, want %d", kind, got, want)
-		}
+			r := c.CrawlApp(context.Background(), tc.id)
+			if tc.deleted {
+				if !r.Deleted() || !errors.Is(r.FeedErr, graphapi.ErrDeleted) || !errors.Is(r.InstallErr, graphapi.ErrDeleted) {
+					t.Errorf("deleted app: summary %v, feed %v, install %v; want ErrDeleted on all three",
+						r.SummaryErr, r.FeedErr, r.InstallErr)
+				}
+			} else if r.SummaryErr != nil || r.FeedErr != nil || r.InstallErr != nil || len(r.Install.Permissions) != 2 {
+				t.Errorf("live app: summary %v, feed %v, install %+v, %v; want every surface read",
+					r.SummaryErr, r.FeedErr, r.Install, r.InstallErr)
+			}
+			if n := hits.Load(); n != tc.requests {
+				t.Errorf("Graph-API requests = %d, want %d", n, tc.requests)
+			}
+			for kind, want := range tc.attempts {
+				if got := reg.CounterValue("frappe_crawl_attempts_total", kind); got != want {
+					t.Errorf("%s attempts = %d, want %d", kind, got, want)
+				}
+			}
+		})
 	}
 }

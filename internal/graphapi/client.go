@@ -86,51 +86,48 @@ func (c *Client) Feed(ctx context.Context, id string) ([]FeedPost, error) {
 	return doc.Data, nil
 }
 
-// Install follows the app installation URL and scrapes the client_id,
-// permission set, and redirect URI from the landing page, the §4.1.2/§4.1.4
-// crawl. The installation URL answers with a 302 to the landing page;
-// Install follows that one hop itself (httpx returns redirects as they
-// come), and any other redirect is an error. Deleted apps yield ErrDeleted.
+// Install reads the client_id, permission set, and redirect URI from the
+// app installation URL's redirect, the §4.1.2/§4.1.4 crawl. The
+// installation URL answers with a 302 whose Location, relative or
+// absolute, carries them in its query; Install reads that Location and
+// fetches nothing more. A 404 is ErrDeleted; any other answer, or a
+// Location without app_id, is an error.
 func (c *Client) Install(ctx context.Context, id string) (InstallInfo, error) {
-	u := strings.TrimRight(c.BaseURL, "/") + "/apps/application.php?id=" + url.QueryEscape(id)
-	resp, err := c.transport().Get(ctx, u)
+	resp, err := c.transport().Get(ctx, strings.TrimRight(c.BaseURL, "/")+"/apps/application.php?id="+url.QueryEscape(id))
 	if err != nil {
 		return InstallInfo{}, fmt.Errorf("graphapi: %w", err)
 	}
-	if loc := resp.Header.Get("Location"); resp.StatusCode == http.StatusFound && loc != "" {
-		landing, err := url.Parse(u)
-		if err == nil {
-			landing, err = landing.Parse(loc)
-		}
-		if err != nil {
-			return InstallInfo{}, fmt.Errorf("graphapi: install redirect: %w", err)
-		}
-		if resp, err = c.transport().Get(ctx, landing.String()); err != nil {
-			return InstallInfo{}, fmt.Errorf("graphapi: %w", err)
-		}
-	}
-	if resp.StatusCode == http.StatusNotFound {
+	switch resp.StatusCode {
+	case http.StatusFound:
+		return installFromLocation(resp.Header.Get("Location"))
+	case http.StatusNotFound:
 		return InstallInfo{}, ErrDeleted
 	}
-	if resp.StatusCode != http.StatusOK {
-		return InstallInfo{}, fmt.Errorf("graphapi: unexpected status %s", resp.Status)
+	return InstallInfo{}, fmt.Errorf("graphapi: unexpected status %s", resp.Status)
+}
+
+// installFromLocation reads the install parameters from the query of the
+// installation URL's redirect target, the inverse of the Location that
+// Server writes.
+func installFromLocation(loc string) (InstallInfo, error) {
+	u, err := url.Parse(loc)
+	if err != nil {
+		return InstallInfo{}, fmt.Errorf("graphapi: install redirect: %w", err)
 	}
-	var doc struct {
-		AppID       string `json:"app_id"`
-		ClientID    string `json:"client_id"`
-		Perms       string `json:"perms"`
-		RedirectURI string `json:"redirect_uri"`
+	q, err := url.ParseQuery(u.RawQuery)
+	if err != nil {
+		return InstallInfo{}, fmt.Errorf("graphapi: install redirect: %w", err)
 	}
-	if err := json.Unmarshal(resp.Body, &doc); err != nil {
-		return InstallInfo{}, fmt.Errorf("graphapi: decoding install landing: %w", err)
+	if q.Get("app_id") == "" {
+		return InstallInfo{}, fmt.Errorf("graphapi: install redirect %q carries no app_id", loc)
 	}
 	info := InstallInfo{
-		AppID:       doc.AppID,
-		ClientID:    doc.ClientID,
-		RedirectURI: doc.RedirectURI,
+		AppID:       q.Get("app_id"),
+		ClientID:    q.Get("client_id"),
+		RedirectURI: q.Get("redirect_uri"),
 	}
-	if doc.Perms != "" {
-		info.Permissions = strings.Split(doc.Perms, ",")
+	if perms := q.Get("perms"); perms != "" {
+		info.Permissions = strings.Split(perms, ",")
 	}
 	return info, nil
 }

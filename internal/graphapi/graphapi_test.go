@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"frappe/internal/fbplatform"
@@ -172,40 +173,45 @@ func TestInstall(t *testing.T) {
 	}
 }
 
-// TestInstallFollowsOneRedirect: Install follows the installation URL's
-// 302 itself, resolving a relative Location, and follows nothing else: a
-// second redirect or any other 3xx is an error, and a 404 on the
-// installation URL is a deletion.
-func TestInstallFollowsOneRedirect(t *testing.T) {
+// TestInstallReadsRedirect: Install reads the install parameters from the
+// installation URL's 302 Location, relative or absolute, and fetches
+// nothing else: the fake server fails the test on any other request. A
+// Location without app_id, any other 3xx, a 302 without Location and a
+// 200 are errors, and a 404 is a deletion.
+func TestInstallReadsRedirect(t *testing.T) {
+	const query = "app_id=7&client_id=8&perms=email%2Cuser_likes&redirect_uri=http%3A%2F%2Fx.example%2F%3Fa%3D1"
 	landing := `{"app_id":"7","client_id":"8","perms":"email","redirect_uri":"http://x.example/"}`
 	cases := []struct {
 		name        string
 		status      int    // the installation URL's answer
-		location    string // its Location header
+		location    string // its Location header; {server} is the server's own URL
 		wantErr     bool
 		wantDeleted bool
 	}{
-		{name: "302 to the landing page", status: http.StatusFound, location: "/install?app_id=7"},
-		{name: "302 to a second redirect", status: http.StatusFound, location: "/again", wantErr: true},
-		{name: "301", status: http.StatusMovedPermanently, location: "/install?app_id=7", wantErr: true},
+		{name: "relative Location", status: http.StatusFound, location: "/install?" + query},
+		{name: "absolute Location", status: http.StatusFound, location: "{server}/install?" + query},
+		{name: "Location without app_id", status: http.StatusFound, location: "/install?client_id=8&perms=email", wantErr: true},
+		{name: "301", status: http.StatusMovedPermanently, location: "/install?" + query, wantErr: true},
 		{name: "302 without Location", status: http.StatusFound, wantErr: true},
+		{name: "200", status: http.StatusOK, wantErr: true},
 		{name: "deleted", status: http.StatusNotFound, wantErr: true, wantDeleted: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int32
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				switch r.URL.Path {
-				case "/apps/application.php":
-					if tc.location != "" {
-						w.Header().Set("Location", tc.location)
-					}
-					w.WriteHeader(tc.status)
-				case "/again":
-					http.Redirect(w, r, "/install?app_id=7", http.StatusFound)
-				case "/install":
-					io.WriteString(w, landing)
-				default:
+				requests.Add(1)
+				if r.URL.Path != "/apps/application.php" {
+					t.Errorf("unexpected request for %s", r.URL)
 					http.NotFound(w, r)
+					return
+				}
+				if tc.location != "" {
+					w.Header().Set("Location", strings.ReplaceAll(tc.location, "{server}", "http://"+r.Host))
+				}
+				w.WriteHeader(tc.status)
+				if tc.status == http.StatusOK {
+					io.WriteString(w, landing)
 				}
 			}))
 			defer srv.Close()
@@ -214,8 +220,12 @@ func TestInstallFollowsOneRedirect(t *testing.T) {
 			if (err != nil) != tc.wantErr || errors.Is(err, ErrDeleted) != tc.wantDeleted {
 				t.Fatalf("Install = %+v, %v; want error %v, deleted %v", info, err, tc.wantErr, tc.wantDeleted)
 			}
-			if err == nil && (info.ClientID != "8" || len(info.Permissions) != 1 || info.Permissions[0] != "email") {
-				t.Errorf("landing page scraped as %+v", info)
+			want := InstallInfo{AppID: "7", ClientID: "8", Permissions: []string{"email", "user_likes"}, RedirectURI: "http://x.example/?a=1"}
+			if err == nil && !reflect.DeepEqual(info, want) {
+				t.Errorf("Install = %+v, want %+v", info, want)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Errorf("requests = %d, want 1", n)
 			}
 		})
 	}
@@ -251,12 +261,31 @@ func TestUnknownPath(t *testing.T) {
 // build crawls through reads, for a live app, a sparse one (no
 // description, feed or permissions), a deleted one and an unknown ID,
 // what Client decodes from Server over HTTP, with ErrDeleted on the same
-// surfaces. A nil and an empty list count as equal.
+// surfaces. A nil and an empty list count as equal. The install cases
+// cover what a Location parse can get wrong: redirect URIs holding a
+// query, an escaped slash, a plus, a space, a fragment or non-ASCII
+// text, an app with no permissions, and client IDs that differ from the
+// app ID.
 func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 	p, c, done := newTestWorld(t)
 	defer done()
-	if err := p.Register(&fbplatform.App{ID: "31337", Name: "Bare", Truth: fbplatform.Truth{HackerID: -1}}); err != nil {
-		t.Fatal(err)
+	ids := []string{"102452128776", "235597333185870", "999", "does-not-exist"}
+	for _, a := range []*fbplatform.App{
+		{ID: "31337"},
+		{ID: "41", Permissions: []string{fbplatform.PermEmail, fbplatform.PermUserBirthday}, RedirectURI: "http://q.example/land?a=1&b=2"},
+		{ID: "42", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://q.example/a%2Fb"},
+		{ID: "43", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://q.example/a+b?c=d+e"},
+		{ID: "44", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://q.example/a b"},
+		{ID: "45", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://q.example/land#frag"},
+		{ID: "46", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://bücher.example/café?q=日本"},
+		{ID: "47", RedirectURI: "https://apps.facebook.com/no-perms"},
+		{ID: "48", ClientID: "159474410806928", Permissions: []string{fbplatform.PermPublishStream}, RedirectURI: "http://other.example/"},
+	} {
+		a.Name, a.Truth = "Edge "+a.ID, fbplatform.Truth{HackerID: -1}
+		if err := p.Register(a); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, a.ID)
 	}
 	local := Local{Platform: p}
 	ctx := context.Background()
@@ -275,7 +304,7 @@ func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 		}
 		return posts
 	}
-	for _, id := range []string{"102452128776", "31337", "999", "does-not-exist"} {
+	for _, id := range ids {
 		ls, lerr := local.Summary(ctx, id)
 		cs, cerr := c.Summary(ctx, id)
 		same(id, "summary", ls, cs, lerr, cerr)

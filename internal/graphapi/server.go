@@ -3,10 +3,11 @@
 //
 //	GET /{appID}                       — app summary (Open Graph API)
 //	GET /{appID}/feed                  — posts on the app's profile page
-//	GET /apps/application.php?id=A     — installation URL; redirects to a
-//	                                     URL whose query carries client_id,
-//	                                     the permission set, and the
-//	                                     redirect URI
+//	GET /apps/application.php?id=A     — installation URL; a 302 whose
+//	                                     Location query carries app_id,
+//	                                     client_id, the permission set, and
+//	                                     the redirect URI, which Client
+//	                                     reads without fetching it
 //
 // Faithful quirk: like the 2012 Graph API, summary and feed lookups for
 // apps that have been removed from the Facebook graph return HTTP 200 with
@@ -69,8 +70,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case path == "apps/application.php":
 		s.serveInstall(w, r)
-	case path == "install":
-		s.serveInstallLanding(w, r)
 	case path == "oauth/install":
 		s.serveOAuthInstall(w, r)
 	case path == "me/feed":
@@ -160,24 +159,17 @@ func (s *Server) serveInstall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeInstallRedirect(w, r, info)
+}
+
+// writeInstallRedirect answers the installation URL of a live app: a 302
+// whose Location query carries the negotiated parameters, which
+// Client.Install reads back.
+func writeInstallRedirect(w http.ResponseWriter, r *http.Request, info fbplatform.InstallInfo) {
 	q := url.Values{}
 	q.Set("app_id", info.AppID)
 	q.Set("client_id", info.ClientID)
 	q.Set("perms", strings.Join(info.Permissions, ","))
 	q.Set("redirect_uri", info.RedirectURI)
 	http.Redirect(w, r, "/install?"+q.Encode(), http.StatusFound)
-}
-
-// serveInstallLanding is the page the install redirect lands on; it echoes
-// the negotiated parameters so an instrumented crawler can scrape them.
-func (s *Server) serveInstallLanding(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	doc := map[string]interface{}{
-		"app_id":       q.Get("app_id"),
-		"client_id":    q.Get("client_id"),
-		"perms":        q.Get("perms"),
-		"redirect_uri": q.Get("redirect_uri"),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
 }

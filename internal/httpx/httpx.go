@@ -379,7 +379,7 @@ func (c *Client) attempts(ctx context.Context, method, rawURL, contentType strin
 
 // once performs a single network attempt and drains the body. It sends
 // straight through the Transport: a redirect comes back as the response
-// (graphapi.Client.Install follows its one 302 itself), no header copy is
+// (graphapi.Client.Install reads its 302's Location), no header copy is
 // made, and the caller, attempts, names the method and URL in its final
 // error. The per-attempt Timeout is armed only when the caller's context
 // has no deadline or a later one, net/http's own rule: a caller's earlier
