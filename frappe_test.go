@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"frappe/internal/crawler"
+	"frappe/internal/graphapi"
 	"frappe/internal/synth"
 )
 
@@ -121,6 +125,38 @@ func TestWatchdogOverHTTP(t *testing.T) {
 		if _, err := wd.Evaluate(context.Background(), deleted); !errors.Is(err, ErrNotClassifiable) {
 			t.Errorf("deleted app err = %v, want ErrNotClassifiable", err)
 		}
+	}
+
+	// The first 500 live apps in ID order: Evaluate reads one profile
+	// post over HTTP, and must reach the verdict, score bits included,
+	// that the classifier gives an in-process crawl of the whole feed.
+	local, err := crawler.New(crawler.Config{Graph: graphapi.Local{Platform: w.Platform}, WOT: w.WOT, WholeFeed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := w.Platform.AppIDs()
+	sort.Strings(ids)
+	var live int
+	var byPosts [3]int // apps with 0, 1 and more than one post
+	for _, id := range ids {
+		if live == 500 {
+			break
+		}
+		if _, err := w.Platform.Lookup(id); err != nil {
+			continue
+		}
+		live++
+		r := local.CrawlApp(context.Background(), id)
+		byPosts[min(len(r.Feed), 2)]++
+		want, werr := clf.Classify(AppRecord{ID: id, Crawl: r})
+		got, gerr := wd.Evaluate(context.Background(), id)
+		if werr != nil || gerr != nil || got.AppID != want.AppID || got.Malicious != want.Malicious ||
+			math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+			t.Errorf("app %s: Evaluate over HTTP = %+v, %v; classifier on the in-process crawl = %+v, %v", id, got, gerr, want, werr)
+		}
+	}
+	if live < 500 || byPosts[0] == 0 || byPosts[1] == 0 || byPosts[2] == 0 {
+		t.Errorf("%d live apps checked, with 0, 1 and more posts: %v; want 500 with each kind", live, byPosts)
 	}
 }
 

@@ -3,7 +3,10 @@
 // profile feed, and installation parameters from a Graph-API-compatible
 // endpoint, and resolves the WOT reputation of the redirect-URI domain.
 // /check crawls over HTTP; the dataset build and the §5.3 sweep crawl a
-// world in process through the same CrawlApp.
+// world in process through the same CrawlApp. FRAppE Lite reads only
+// whether the profile page has a post, so an on-demand crawl reads one
+// post; the dataset build reads the whole feed (Config.WholeFeed), whose
+// post counts Fig 9 plots.
 //
 // Like the original, the crawler is imperfect in app-dependent ways:
 // deleted apps fail outright (the API returns `false`), and many live apps
@@ -68,6 +71,8 @@ type Result struct {
 	Summary    *graphapi.Summary
 	SummaryErr error
 
+	// Feed holds the profile page's first post, if it has one, or its
+	// whole feed when the crawl was configured with WholeFeed.
 	Feed    []graphapi.FeedPost
 	FeedErr error
 
@@ -86,10 +91,11 @@ func (r *Result) Deleted() bool {
 
 // Graph is the Graph API as the crawler reads it. graphapi.Client reads it
 // over HTTP and graphapi.Local in process; both answer graphapi.ErrDeleted
-// for an app gone from the graph.
+// for an app gone from the graph. Feed returns the first limit posts, or
+// the whole feed when limit <= 0.
 type Graph interface {
 	Summary(ctx context.Context, id string) (*graphapi.Summary, error)
-	Feed(ctx context.Context, id string) ([]graphapi.FeedPost, error)
+	Feed(ctx context.Context, id string, limit int) ([]graphapi.FeedPost, error)
 	Install(ctx context.Context, id string) (graphapi.InstallInfo, error)
 }
 
@@ -105,6 +111,11 @@ type Config struct {
 	WOT   Reputation
 	// Workers is Crawl's parallelism (default 8).
 	Workers int
+	// WholeFeed reads each app's whole profile feed instead of its first
+	// post. An on-demand crawl needs one post, the most the classifier
+	// reads; the dataset build sets it, because Fig 9 and the lab store
+	// record post counts.
+	WholeFeed bool
 	// Flakiness, if non-nil, reports whether a given surface of a given
 	// app is automatable at all; it models the paper's human-oriented
 	// redirect chains. Nil means everything is automatable.
@@ -173,7 +184,7 @@ func (c *Crawler) CrawlApp(ctx context.Context, id string) *Result {
 		c.ins.outcome(KindInstall, r.InstallErr)
 		return r
 	}
-	r.Feed, r.FeedErr = fetch(ctx, c, KindFeed, id, c.cfg.Graph.Feed)
+	r.Feed, r.FeedErr = fetch(ctx, c, KindFeed, id, c.feed)
 	r.Install, r.InstallErr = fetch(ctx, c, KindInstall, id, c.cfg.Graph.Install)
 	if r.InstallErr == nil && c.cfg.WOT != nil {
 		r.WOTScore = c.fetchWOT(ctx, r.Install.RedirectURI)
@@ -202,6 +213,16 @@ func fetch[T any](ctx context.Context, c *Crawler, kind Kind, id string, get fun
 	span.End()
 	c.ins.outcome(kind, err)
 	return v, err
+}
+
+// feed reads app id's profile feed: its first post, or all of it under
+// WholeFeed.
+func (c *Crawler) feed(ctx context.Context, id string) ([]graphapi.FeedPost, error) {
+	limit := 1
+	if c.cfg.WholeFeed {
+		limit = 0
+	}
+	return c.cfg.Graph.Feed(ctx, id, limit)
 }
 
 // fetchWOT resolves the redirect-URI domain's reputation under its own

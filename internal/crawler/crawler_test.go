@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -258,8 +259,8 @@ func TestCrawlTelemetry(t *testing.T) {
 // surface, so a summary answered deleted ends its crawl: one Graph-API
 // request, feed and install reported deleted, one attempt counted. A
 // live, crawlable app costs one request per surface, three in all: its
-// install is read from the installation URL's 302, and nothing fetches
-// the redirect's target.
+// feed request asks for one post, its install is read from the
+// installation URL's 302, and nothing fetches the redirect's target.
 func TestDeletedAppCostsOneRequest(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -276,11 +277,17 @@ func TestDeletedAppCostsOneRequest(t *testing.T) {
 			p, _, done := testStack(t)
 			defer done()
 			inner := graphapi.NewServer(p)
-			var hits atomic.Int32
+			var hits, feeds atomic.Int32
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				hits.Add(1)
-				if r.URL.Path == "/install" {
+				switch {
+				case r.URL.Path == "/install":
 					t.Errorf("crawl fetched the install redirect's target %s", r.URL)
+				case strings.HasSuffix(r.URL.Path, "/feed"):
+					feeds.Add(1)
+					if r.URL.RawQuery != "limit=1" {
+						t.Errorf("feed request %s; want it to ask for limit=1", r.URL)
+					}
 				}
 				inner.ServeHTTP(w, r)
 			}))
@@ -304,11 +311,58 @@ func TestDeletedAppCostsOneRequest(t *testing.T) {
 			if n := hits.Load(); n != tc.requests {
 				t.Errorf("Graph-API requests = %d, want %d", n, tc.requests)
 			}
+			if n, want := feeds.Load(), int32(tc.attempts["feed"]); n != want {
+				t.Errorf("feed requests = %d, want %d", n, want)
+			}
 			for kind, want := range tc.attempts {
 				if got := reg.CounterValue("frappe_crawl_attempts_total", kind); got != want {
 					t.Errorf("%s attempts = %d, want %d", kind, got, want)
 				}
 			}
 		})
+	}
+}
+
+// feedLimits records the limit of every Feed call on its Graph; it is
+// not safe for concurrent use.
+type feedLimits struct {
+	Graph
+	limits []int
+}
+
+func (g *feedLimits) Feed(ctx context.Context, id string, limit int) ([]graphapi.FeedPost, error) {
+	g.limits = append(g.limits, limit)
+	return g.Graph.Feed(ctx, id, limit)
+}
+
+// TestFeedLimit: an on-demand crawl asks the Graph API for one post, and
+// a crawl with WholeFeed for the whole feed, so a 3-post app's Result
+// holds 1 post and 3 posts respectively.
+func TestFeedLimit(t *testing.T) {
+	p := fbplatform.New(10)
+	if err := p.Register(&fbplatform.App{
+		ID: "1", Name: "Chatty",
+		ProfileFeed: []fbplatform.ProfilePost{{Message: "a"}, {Message: "b"}, {Message: "c"}},
+		Truth:       fbplatform.Truth{HackerID: -1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		wholeFeed bool
+		limit     int
+		posts     int
+	}{{false, 1, 1}, {true, 0, 3}} {
+		g := &feedLimits{Graph: graphapi.Local{Platform: p}}
+		c, err := New(Config{Graph: g, WholeFeed: tc.wholeFeed, Telemetry: telemetry.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := c.CrawlApp(context.Background(), "1")
+		if len(g.limits) != 1 || g.limits[0] != tc.limit {
+			t.Errorf("WholeFeed %v: Feed limits %v, want [%d]", tc.wholeFeed, g.limits, tc.limit)
+		}
+		if r.FeedErr != nil || len(r.Feed) != tc.posts || r.Feed[0].Message != "a" {
+			t.Errorf("WholeFeed %v: feed %+v, %v; want the first %d of 3 posts", tc.wholeFeed, r.Feed, r.FeedErr, tc.posts)
+		}
 	}
 }

@@ -332,7 +332,9 @@ func (b *Builder) selectBenign(d *Datasets) []string {
 // CrawlAll fetches features for arbitrary app IDs in process, through the
 // crawler /check runs over HTTP, against the world's platform and WOT at
 // its current month. The D-Sample crawl and the §5.3 sweep over every
-// untrained app use it.
+// untrained app use it. Unlike /check, it reads each app's whole profile
+// feed: Fig 9 plots post counts, and frappegen and the lab store record
+// them.
 func (b *Builder) CrawlAll(ctx context.Context, ids []string) (map[string]*crawler.Result, error) {
 	w := b.World
 	workers := b.Workers
@@ -340,9 +342,10 @@ func (b *Builder) CrawlAll(ctx context.Context, ids []string) (map[string]*crawl
 		workers = 16
 	}
 	c, err := crawler.New(crawler.Config{
-		Graph:   graphapi.Local{Platform: w.Platform},
-		WOT:     w.WOT,
-		Workers: workers,
+		Graph:     graphapi.Local{Platform: w.Platform},
+		WOT:       w.WOT,
+		Workers:   workers,
+		WholeFeed: true,
 		Flakiness: func(id string, kind crawler.Kind) bool {
 			switch kind {
 			case crawler.KindInstall:

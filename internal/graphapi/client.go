@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 
 	"frappe/internal/httpx"
@@ -73,9 +74,14 @@ func (c *Client) Summary(ctx context.Context, id string) (*Summary, error) {
 	return &s, nil
 }
 
-// Feed fetches the posts on the app's profile page.
-func (c *Client) Feed(ctx context.Context, id string) ([]FeedPost, error) {
-	body, err := c.get(ctx, "/"+url.PathEscape(id)+"/feed")
+// Feed fetches the first limit posts on the app's profile page, or all
+// of them when limit <= 0.
+func (c *Client) Feed(ctx context.Context, id string, limit int) ([]FeedPost, error) {
+	path := "/" + url.PathEscape(id) + "/feed"
+	if limit > 0 {
+		path += "?limit=" + strconv.Itoa(limit)
+	}
+	body, err := c.get(ctx, path)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package graphapi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -107,7 +110,7 @@ func TestDeletedReturnsFalseBody(t *testing.T) {
 	if _, err := c.Summary(context.Background(), "999"); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Summary(deleted) err = %v", err)
 	}
-	if _, err := c.Feed(context.Background(), "999"); !errors.Is(err, ErrDeleted) {
+	if _, err := c.Feed(context.Background(), "999", 1); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Feed(deleted) err = %v", err)
 	}
 	if _, err := c.Install(context.Background(), "999"); !errors.Is(err, ErrDeleted) {
@@ -123,7 +126,7 @@ func TestFeed(t *testing.T) {
 	_, c, done := newTestWorld(t)
 	defer done()
 
-	posts, err := c.Feed(context.Background(), "102452128776")
+	posts, err := c.Feed(context.Background(), "102452128776", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestFeed(t *testing.T) {
 		t.Errorf("feed = %+v", posts)
 	}
 	// Empty profile feed is an empty list, not an error.
-	empty, err := c.Feed(context.Background(), "235597333185870")
+	empty, err := c.Feed(context.Background(), "235597333185870", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +173,27 @@ func TestInstall(t *testing.T) {
 	}
 	if len(benign.Permissions) != 3 {
 		t.Errorf("benign perms = %v", benign.Permissions)
+	}
+
+	// The 302 leads off the simulator, to Facebook's permission dialog: a
+	// path on the simulator would answer as the summary of an app named
+	// after it, which reads as deleted.
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := noFollow.Get(c.BaseURL + "/apps/application.php?id=102452128776")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	loc, err := url.Parse(resp.Header.Get("Location"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulator, err := url.Parse(c.BaseURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusFound || !loc.IsAbs() || loc.Host == simulator.Host {
+		t.Errorf("installation URL answered %d with Location %q; want a 302 to an absolute URL off %s", resp.StatusCode, loc, simulator.Host)
 	}
 }
 
@@ -244,6 +268,40 @@ func TestInstallMissingID(t *testing.T) {
 	}
 }
 
+// TestFeedLimitParam: the feed's limit must be a positive integer; any
+// other value answers 400 with the Graph API's error document, and a
+// deleted app still answers false at a valid limit.
+func TestFeedLimitParam(t *testing.T) {
+	_, c, done := newTestWorld(t)
+	defer done()
+	for _, q := range []string{"limit=0", "limit=-1", "limit=abc", "limit=1.5", "limit=", "limit=99999999999999999999", "limit=%zz"} {
+		t.Run(q, func(t *testing.T) {
+			resp, err := http.Get(c.BaseURL + "/102452128776/feed?" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var doc struct {
+				Error struct {
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusBadRequest || doc.Error.Message == "" {
+				t.Errorf("status %d, error document %+v (%v); want 400 with a message", resp.StatusCode, doc, err)
+			}
+		})
+	}
+	resp, err := http.Get(c.BaseURL + "/999/feed?limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "false" {
+		t.Errorf("deleted app at limit 1: status %d, body %q; want 200 false", resp.StatusCode, body)
+	}
+}
+
 func TestUnknownPath(t *testing.T) {
 	_, c, done := newTestWorld(t)
 	defer done()
@@ -265,12 +323,24 @@ func TestUnknownPath(t *testing.T) {
 // cover what a Location parse can get wrong: redirect URIs holding a
 // query, an escaped slash, a plus, a space, a fragment or non-ASCII
 // text, an app with no permissions, and client IDs that differ from the
-// app ID.
+// app ID. The feed is compared at limits 0 (the whole feed), 1 and 2,
+// on apps with 0, 1, 2, 3 and 900 posts, and a limited feed must be the
+// whole feed's first posts.
 func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 	p, c, done := newTestWorld(t)
 	defer done()
 	ids := []string{"102452128776", "235597333185870", "999", "does-not-exist"}
+	posts := func(n int) []fbplatform.ProfilePost {
+		feed := make([]fbplatform.ProfilePost, n)
+		for i := range feed {
+			feed[i] = fbplatform.ProfilePost{Message: fmt.Sprintf("interesting read %d", i), Link: fmt.Sprintf("http://p.example/%d", i), Month: i % 9}
+		}
+		return feed
+	}
 	for _, a := range []*fbplatform.App{
+		{ID: "51", ProfileFeed: posts(1)},
+		{ID: "53", ProfileFeed: posts(3)},
+		{ID: "59", ProfileFeed: posts(900)},
 		{ID: "31337"},
 		{ID: "41", Permissions: []string{fbplatform.PermEmail, fbplatform.PermUserBirthday}, RedirectURI: "http://q.example/land?a=1&b=2"},
 		{ID: "42", Permissions: []string{fbplatform.PermEmail}, RedirectURI: "http://q.example/a%2Fb"},
@@ -309,9 +379,11 @@ func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 		cs, cerr := c.Summary(ctx, id)
 		same(id, "summary", ls, cs, lerr, cerr)
 
-		lf, lerr := local.Feed(ctx, id)
-		cf, cerr := c.Feed(ctx, id)
-		same(id, "feed", emptyAsNil(lf), emptyAsNil(cf), lerr, cerr)
+		for _, limit := range []int{0, 1, 2} {
+			lf, lerr := local.Feed(ctx, id, limit)
+			cf, cerr := c.Feed(ctx, id, limit)
+			same(id, fmt.Sprintf("feed at limit %d", limit), emptyAsNil(lf), emptyAsNil(cf), lerr, cerr)
+		}
 
 		li, lerr := local.Install(ctx, id)
 		ci, cerr := c.Install(ctx, id)
@@ -328,5 +400,16 @@ func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 	}
 	if _, err := local.Install(ctx, "999"); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Local install of the deleted app: err %v, want ErrDeleted", err)
+	}
+	for id, n := range map[string]int{"51": 1, "53": 3, "59": 900} {
+		whole, err := local.Feed(ctx, id, 0)
+		if err != nil || len(whole) != n {
+			t.Fatalf("Local feed of %s: %d posts, %v; want %d", id, len(whole), err, n)
+		}
+		for _, limit := range []int{1, 2} {
+			if f, err := local.Feed(ctx, id, limit); err != nil || !reflect.DeepEqual(f, whole[:min(limit, n)]) {
+				t.Errorf("Local feed of %s at limit %d: %d posts, %v; want the first %d", id, limit, len(f), err, min(limit, n))
+			}
+		}
 	}
 }

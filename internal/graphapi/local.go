@@ -23,13 +23,14 @@ func (l Local) Summary(_ context.Context, id string) (*Summary, error) {
 	return &s, nil
 }
 
-// Feed returns the posts on the app's profile page, or ErrDeleted.
-func (l Local) Feed(_ context.Context, id string) ([]FeedPost, error) {
+// Feed returns the first limit posts on the app's profile page, or all
+// of them when limit <= 0, or ErrDeleted.
+func (l Local) Feed(_ context.Context, id string, limit int) ([]FeedPost, error) {
 	app, err := l.Platform.Lookup(id)
 	if err != nil {
 		return nil, ErrDeleted
 	}
-	return feedOf(app).Data, nil
+	return feedOf(app, limit).Data, nil
 }
 
 // Install returns the parameters the install redirect carries, or

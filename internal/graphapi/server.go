@@ -3,11 +3,14 @@
 //
 //	GET /{appID}                       — app summary (Open Graph API)
 //	GET /{appID}/feed                  — posts on the app's profile page
-//	GET /apps/application.php?id=A     — installation URL; a 302 whose
-//	                                     Location query carries app_id,
-//	                                     client_id, the permission set, and
-//	                                     the redirect URI, which Client
-//	                                     reads without fetching it
+//	GET /{appID}/feed?limit=N          — its first N posts (N a positive
+//	                                     integer; any other value is a 400)
+//	GET /apps/application.php?id=A     — installation URL; a 302 to
+//	                                     Facebook's permission dialog whose
+//	                                     query carries app_id, client_id,
+//	                                     the permission set, and the
+//	                                     redirect URI, which Client reads
+//	                                     without fetching it
 //
 // Faithful quirk: like the 2012 Graph API, summary and feed lookups for
 // apps that have been removed from the Facebook graph return HTTP 200 with
@@ -18,8 +21,10 @@ package graphapi
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 
 	"frappe/internal/fbplatform"
@@ -108,11 +113,16 @@ func summaryOf(app *fbplatform.App) Summary {
 	}
 }
 
-// feedOf is the profile-feed document for a live app; an empty feed is
-// an empty list, not null.
-func feedOf(app *fbplatform.App) feedDoc {
-	doc := feedDoc{Data: make([]FeedPost, 0, len(app.ProfileFeed))}
-	for _, p := range app.ProfileFeed {
+// feedOf is the profile-feed document for a live app: its first limit
+// posts, or all of them when limit <= 0. An empty feed is an empty list,
+// not null.
+func feedOf(app *fbplatform.App, limit int) feedDoc {
+	posts := app.ProfileFeed
+	if limit > 0 && limit < len(posts) {
+		posts = posts[:limit]
+	}
+	doc := feedDoc{Data: make([]FeedPost, 0, len(posts))}
+	for _, p := range posts {
 		doc.Data = append(doc.Data, FeedPost{Message: p.Message, Link: p.Link, CreatedTime: p.Month})
 	}
 	return doc
@@ -128,14 +138,38 @@ func (s *Server) serveSummary(w http.ResponseWriter, _ *http.Request, id string)
 	json.NewEncoder(w).Encode(summaryOf(app))
 }
 
-func (s *Server) serveFeed(w http.ResponseWriter, _ *http.Request, id string) {
+func (s *Server) serveFeed(w http.ResponseWriter, r *http.Request, id string) {
+	limit, err := feedLimit(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	app, err := s.Platform.Lookup(id)
 	if err != nil {
 		writeFalse(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(feedOf(app))
+	json.NewEncoder(w).Encode(feedOf(app, limit))
+}
+
+// feedLimit reads the feed's limit parameter: 0 (the whole feed) when
+// the query has none, a positive integer otherwise. A query that does not
+// decode is an error too, so an undecodable limit is not read as none.
+func feedLimit(rawQuery string) (int, error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return 0, fmt.Errorf("malformed query: %w", err)
+	}
+	v, ok := q["limit"]
+	if !ok {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v[0])
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("limit must be a positive integer, not %q", v[0])
+	}
+	return n, nil
 }
 
 // serveInstall models visiting the installation URL: Facebook consults the
@@ -163,13 +197,14 @@ func (s *Server) serveInstall(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeInstallRedirect answers the installation URL of a live app: a 302
-// whose Location query carries the negotiated parameters, which
-// Client.Install reads back.
+// to Facebook's permission dialog, where the 2012 installation URL led,
+// whose query carries the negotiated parameters, which Client.Install
+// reads back.
 func writeInstallRedirect(w http.ResponseWriter, r *http.Request, info fbplatform.InstallInfo) {
 	q := url.Values{}
 	q.Set("app_id", info.AppID)
 	q.Set("client_id", info.ClientID)
 	q.Set("perms", strings.Join(info.Permissions, ","))
 	q.Set("redirect_uri", info.RedirectURI)
-	http.Redirect(w, r, "/install?"+q.Encode(), http.StatusFound)
+	http.Redirect(w, r, "https://www.facebook.com/dialog/oauth?"+q.Encode(), http.StatusFound)
 }
