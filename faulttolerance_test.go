@@ -179,8 +179,9 @@ func TestWatchdogSustainedOutageOpensBreaker(t *testing.T) {
 		return resp, a
 	}
 
-	// First check burns through the breaker threshold: summary fails, feed
-	// fails, circuit opens. The response is an upstream failure.
+	// First check burns through the breaker threshold: the node read
+	// (summary and feed in one request) fails, the install fails, the
+	// circuit opens. The response is an upstream failure.
 	resp, a := check()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("first check status = %d, want %d (assessment %+v)", resp.StatusCode, http.StatusBadGateway, a)

@@ -74,9 +74,9 @@ func TestLoadRejectsCorruptCompiled(t *testing.T) {
 	encode := func(mutate func(p *persistedClassifier)) []byte {
 		p := persistedClassifier{
 			Features:            clf.extractor.Features,
-			MaliciousNameCounts: clf.extractor.MaliciousNameCounts,
-			ContributedIDs:      clf.extractor.ContributedIDs,
-			Imputed:             clf.extractor.Imputed,
+			MaliciousNameCounts: sortedEntries(clf.extractor.MaliciousNameCounts),
+			ContributedIDs:      sortedEntries(clf.extractor.ContributedIDs),
+			Imputed:             sortedEntries(clf.extractor.Imputed),
 			Scaler:              clf.scaler,
 			Model:               clf.model,
 		}

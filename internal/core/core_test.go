@@ -446,9 +446,7 @@ func TestClassifierSaveLoad(t *testing.T) {
 			if err := clf.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			// (Save bytes are NOT asserted stable across calls: gob walks the
-			// extractor's maps in randomised order. Behaviour, not encoding,
-			// is the contract.)
+			// (TestSaveIsCanonical pins the bytes; this pins behaviour.)
 			clf2, err := Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)

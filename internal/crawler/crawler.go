@@ -2,6 +2,9 @@
 // pipeline (§2.3): given a list of app IDs, it fetches each app's summary,
 // profile feed, and installation parameters from a Graph-API-compatible
 // endpoint, and resolves the WOT reputation of the redirect-URI domain.
+// The feed rides the summary's fetch: both are one node read, the Graph
+// API's field expansion, so a live app costs two Graph-API requests (the
+// node and the installation URL) and a deleted one costs one.
 // /check crawls over HTTP; the dataset build and the §5.3 sweep crawl a
 // world in process through the same CrawlApp. FRAppE Lite reads only
 // whether the profile page has a post, so an on-demand crawl reads one
@@ -32,9 +35,10 @@ import (
 type Kind int
 
 const (
-	// KindSummary is the Open Graph summary fetch.
+	// KindSummary is the Open Graph node fetch: the summary, with the
+	// profile feed's first posts expanded into it.
 	KindSummary Kind = iota
-	// KindFeed is the profile-feed fetch.
+	// KindFeed is the profile feed, read by the KindSummary fetch.
 	KindFeed
 	// KindInstall is the installation-URL parameter scrape.
 	KindInstall
@@ -54,10 +58,9 @@ func (k Kind) String() string {
 	}
 }
 
-// fetchSpan names each surface's fetch span.
+// fetchSpan names each fetch's span.
 var fetchSpan = [...]string{
 	KindSummary: "crawl.summary",
-	KindFeed:    "crawl.feed",
 	KindInstall: "crawl.install",
 }
 
@@ -91,11 +94,10 @@ func (r *Result) Deleted() bool {
 
 // Graph is the Graph API as the crawler reads it. graphapi.Client reads it
 // over HTTP and graphapi.Local in process; both answer graphapi.ErrDeleted
-// for an app gone from the graph. Feed returns the first limit posts, or
-// the whole feed when limit <= 0.
+// for an app gone from the graph. Node reads the summary and the profile
+// feed's first feedLimit posts, or the whole feed when feedLimit <= 0.
 type Graph interface {
-	Summary(ctx context.Context, id string) (*graphapi.Summary, error)
-	Feed(ctx context.Context, id string, limit int) ([]graphapi.FeedPost, error)
+	Node(ctx context.Context, id string, feedLimit int) (graphapi.Node, error)
 	Install(ctx context.Context, id string) (graphapi.InstallInfo, error)
 }
 
@@ -164,10 +166,12 @@ func (c *Crawler) Crawl(ctx context.Context, ids []string) (map[string]*Result, 
 	return results, ctx.Err()
 }
 
-// CrawlApp crawls one app: the summary, the profile feed, the install
-// flow, then WOT on the install redirect's domain. An app whose summary
-// answers deleted is deleted on every surface (§2.3), so its feed and
-// install flow are not fetched.
+// CrawlApp crawls one app: the node (the summary and the profile feed, in
+// one fetch), the install flow, then WOT on the install redirect's
+// domain. The feed shares the node read's error; otherwise the Flakiness
+// oracle's KindFeed verdict decides whether the posts it brought count.
+// An app whose node answers deleted is deleted on every surface (§2.3),
+// so its install flow is not fetched.
 func (c *Crawler) CrawlApp(ctx context.Context, id string) *Result {
 	start := time.Now()
 	r := &Result{AppID: id, WOTScore: wot.UnknownScore}
@@ -176,15 +180,23 @@ func (c *Crawler) CrawlApp(ctx context.Context, id string) *Result {
 	span.SetAttr(tracing.String("app_id", id))
 	defer span.End()
 
-	r.Summary, r.SummaryErr = fetch(ctx, c, KindSummary, id, c.cfg.Graph.Summary)
+	node, err := fetch(ctx, c, KindSummary, id, c.node)
+	r.Summary, r.SummaryErr = node.Summary, err
+	switch {
+	case err != nil:
+		r.FeedErr = err
+	case !c.crawlable(id, KindFeed):
+		r.FeedErr = ErrNotCrawlable
+	default:
+		r.Feed = node.Feed
+	}
+	c.ins.outcome(KindFeed, r.FeedErr)
 	if r.Deleted() {
 		span.SetAttr(tracing.Bool("deleted", true))
-		r.FeedErr, r.InstallErr = graphapi.ErrDeleted, graphapi.ErrDeleted
-		c.ins.outcome(KindFeed, r.FeedErr)
+		r.InstallErr = graphapi.ErrDeleted
 		c.ins.outcome(KindInstall, r.InstallErr)
 		return r
 	}
-	r.Feed, r.FeedErr = fetch(ctx, c, KindFeed, id, c.feed)
 	r.Install, r.InstallErr = fetch(ctx, c, KindInstall, id, c.cfg.Graph.Install)
 	if r.InstallErr == nil && c.cfg.WOT != nil {
 		r.WOTScore = c.fetchWOT(ctx, r.Install.RedirectURI)
@@ -199,7 +211,7 @@ func (c *Crawler) CrawlApp(ctx context.Context, id string) *Result {
 // internal/httpx, underneath the service clients — the crawler only
 // observes the result.
 func fetch[T any](ctx context.Context, c *Crawler, kind Kind, id string, get func(context.Context, string) (T, error)) (T, error) {
-	if c.cfg.Flakiness != nil && !c.cfg.Flakiness(id, kind) {
+	if !c.crawlable(id, kind) {
 		c.ins.outcome(kind, ErrNotCrawlable)
 		var zero T
 		return zero, ErrNotCrawlable
@@ -215,14 +227,20 @@ func fetch[T any](ctx context.Context, c *Crawler, kind Kind, id string, get fun
 	return v, err
 }
 
-// feed reads app id's profile feed: its first post, or all of it under
-// WholeFeed.
-func (c *Crawler) feed(ctx context.Context, id string) ([]graphapi.FeedPost, error) {
+// crawlable reports whether the Flakiness oracle lets the crawl read
+// surface kind of app id.
+func (c *Crawler) crawlable(id string, kind Kind) bool {
+	return c.cfg.Flakiness == nil || c.cfg.Flakiness(id, kind)
+}
+
+// node reads app id's node: the summary and the profile feed's first
+// post, or its whole feed under WholeFeed.
+func (c *Crawler) node(ctx context.Context, id string) (graphapi.Node, error) {
 	limit := 1
 	if c.cfg.WholeFeed {
 		limit = 0
 	}
-	return c.cfg.Graph.Feed(ctx, id, limit)
+	return c.cfg.Graph.Node(ctx, id, limit)
 }
 
 // fetchWOT resolves the redirect-URI domain's reputation under its own

@@ -223,8 +223,9 @@ func TestCrawlTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// App 1: summary+feed ok, install not crawlable. App 2: all ok.
-	// App 3: deleted; its summary fails and its feed and install are
-	// failed without a fetch.
+	// App 3: deleted; its node read fails, failing its feed with it, and
+	// its install fails without a fetch. The feed rides the summary's
+	// fetch, so it counts no attempt of its own.
 	if _, err := c.Crawl(context.Background(), []string{"1", "2", "3"}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +242,12 @@ func TestCrawlTelemetry(t *testing.T) {
 	if got := reg.CounterValue("frappe_crawl_failures_total", "feed"); got != 1 {
 		t.Errorf("feed failures = %d, want 1", got)
 	}
+	if got := reg.CounterValue("frappe_crawl_successes_total", "feed"); got != 2 {
+		t.Errorf("feed successes = %d, want 2", got)
+	}
+	if got := reg.CounterValue("frappe_crawl_attempts_total", "feed"); got != 0 {
+		t.Errorf("feed attempts = %d, want 0", got)
+	}
 	if got := reg.CounterValue("frappe_crawl_not_crawlable_total", "install"); got != 1 {
 		t.Errorf("install not-crawlable = %d, want 1", got)
 	}
@@ -256,11 +263,12 @@ func TestCrawlTelemetry(t *testing.T) {
 }
 
 // TestDeletedAppCostsOneRequest: a deleted app answers `false` on every
-// surface, so a summary answered deleted ends its crawl: one Graph-API
+// surface, so a node read answered deleted ends its crawl: one Graph-API
 // request, feed and install reported deleted, one attempt counted. A
-// live, crawlable app costs one request per surface, three in all: its
-// feed request asks for one post, its install is read from the
-// installation URL's 302, and nothing fetches the redirect's target.
+// live, crawlable app costs two: the node read, which asks for the
+// summary and one feed post, and the installation URL, whose 302 the
+// install is read from. Nothing requests /feed or fetches the
+// redirect's target.
 func TestDeletedAppCostsOneRequest(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -270,23 +278,25 @@ func TestDeletedAppCostsOneRequest(t *testing.T) {
 		attempts map[string]uint64
 	}{
 		{name: "deleted", id: "3", deleted: true, requests: 1, attempts: map[string]uint64{"summary": 1, "feed": 0, "install": 0}},
-		{name: "live", id: "1", requests: 3, attempts: map[string]uint64{"summary": 1, "feed": 1, "install": 1}},
+		{name: "live", id: "1", requests: 2, attempts: map[string]uint64{"summary": 1, "feed": 0, "install": 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _, done := testStack(t)
 			defer done()
 			inner := graphapi.NewServer(p)
-			var hits, feeds atomic.Int32
+			var hits, nodes atomic.Int32
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				hits.Add(1)
 				switch {
 				case r.URL.Path == "/install":
 					t.Errorf("crawl fetched the install redirect's target %s", r.URL)
 				case strings.HasSuffix(r.URL.Path, "/feed"):
-					feeds.Add(1)
-					if r.URL.RawQuery != "limit=1" {
-						t.Errorf("feed request %s; want it to ask for limit=1", r.URL)
+					t.Errorf("crawl requested the feed route %s", r.URL)
+				case r.URL.Path == "/"+tc.id:
+					nodes.Add(1)
+					if !strings.HasSuffix(r.URL.Query().Get("fields"), ",feed.limit(1)") {
+						t.Errorf("node request %s; want its fields to ask for feed.limit(1)", r.URL)
 					}
 				}
 				inner.ServeHTTP(w, r)
@@ -311,8 +321,8 @@ func TestDeletedAppCostsOneRequest(t *testing.T) {
 			if n := hits.Load(); n != tc.requests {
 				t.Errorf("Graph-API requests = %d, want %d", n, tc.requests)
 			}
-			if n, want := feeds.Load(), int32(tc.attempts["feed"]); n != want {
-				t.Errorf("feed requests = %d, want %d", n, want)
+			if n := nodes.Load(); n != 1 {
+				t.Errorf("node requests = %d, want 1", n)
 			}
 			for kind, want := range tc.attempts {
 				if got := reg.CounterValue("frappe_crawl_attempts_total", kind); got != want {
@@ -323,21 +333,21 @@ func TestDeletedAppCostsOneRequest(t *testing.T) {
 	}
 }
 
-// feedLimits records the limit of every Feed call on its Graph; it is
-// not safe for concurrent use.
+// feedLimits records the feed limit of every Node call on its Graph; it
+// is not safe for concurrent use.
 type feedLimits struct {
 	Graph
 	limits []int
 }
 
-func (g *feedLimits) Feed(ctx context.Context, id string, limit int) ([]graphapi.FeedPost, error) {
-	g.limits = append(g.limits, limit)
-	return g.Graph.Feed(ctx, id, limit)
+func (g *feedLimits) Node(ctx context.Context, id string, feedLimit int) (graphapi.Node, error) {
+	g.limits = append(g.limits, feedLimit)
+	return g.Graph.Node(ctx, id, feedLimit)
 }
 
-// TestFeedLimit: an on-demand crawl asks the Graph API for one post, and
-// a crawl with WholeFeed for the whole feed, so a 3-post app's Result
-// holds 1 post and 3 posts respectively.
+// TestFeedLimit: an on-demand crawl's node read asks the Graph API for
+// one post, and a crawl with WholeFeed for the whole feed, so a 3-post
+// app's Result holds 1 post and 3 posts respectively.
 func TestFeedLimit(t *testing.T) {
 	p := fbplatform.New(10)
 	if err := p.Register(&fbplatform.App{
@@ -359,10 +369,63 @@ func TestFeedLimit(t *testing.T) {
 		}
 		r := c.CrawlApp(context.Background(), "1")
 		if len(g.limits) != 1 || g.limits[0] != tc.limit {
-			t.Errorf("WholeFeed %v: Feed limits %v, want [%d]", tc.wholeFeed, g.limits, tc.limit)
+			t.Errorf("WholeFeed %v: Node feed limits %v, want [%d]", tc.wholeFeed, g.limits, tc.limit)
 		}
 		if r.FeedErr != nil || len(r.Feed) != tc.posts || r.Feed[0].Message != "a" {
 			t.Errorf("WholeFeed %v: feed %+v, %v; want the first %d of 3 posts", tc.wholeFeed, r.Feed, r.FeedErr, tc.posts)
 		}
+	}
+}
+
+// failingNode is a Graph whose node read fails with err.
+type failingNode struct {
+	Graph
+	err error
+}
+
+func (g failingNode) Node(context.Context, string, int) (graphapi.Node, error) {
+	return graphapi.Node{}, g.err
+}
+
+// TestFeedSharesNodeRead: the feed comes with the node read. A failed
+// read fails the feed with the same error, and the install is still
+// read; after a good read, the Flakiness oracle's KindFeed verdict
+// decides whether its posts count. Either way the feed makes no fetch of
+// its own.
+func TestFeedSharesNodeRead(t *testing.T) {
+	p, _, done := testStack(t)
+	defer done()
+	outage := errors.New("graph node read failed")
+	for _, tc := range []struct {
+		name      string
+		graph     Graph
+		flakiness func(string, Kind) bool
+		feedErr   error
+		outcome   string
+	}{
+		{name: "failed read", graph: failingNode{Graph: graphapi.Local{Platform: p}, err: outage}, feedErr: outage, outcome: "frappe_crawl_failures_total"},
+		{name: "feed not crawlable", graph: graphapi.Local{Platform: p}, flakiness: func(_ string, k Kind) bool { return k != KindFeed },
+			feedErr: ErrNotCrawlable, outcome: "frappe_crawl_not_crawlable_total"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			c, err := New(Config{Graph: tc.graph, Flakiness: tc.flakiness, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := c.CrawlApp(context.Background(), "1")
+			if !errors.Is(r.FeedErr, tc.feedErr) || r.Feed != nil {
+				t.Errorf("feed %+v, %v; want none and %v", r.Feed, r.FeedErr, tc.feedErr)
+			}
+			if r.InstallErr != nil || len(r.Install.Permissions) != 2 {
+				t.Errorf("install %+v, %v; want it read", r.Install, r.InstallErr)
+			}
+			if got := reg.CounterValue(tc.outcome, "feed"); got != 1 {
+				t.Errorf("%s{feed} = %d, want 1", tc.outcome, got)
+			}
+			if got := reg.CounterValue("frappe_crawl_attempts_total", "feed"); got != 0 {
+				t.Errorf("feed attempts = %d, want 0", got)
+			}
+		})
 	}
 }

@@ -9,12 +9,15 @@ import (
 
 // instruments is the crawl metric set. Every crawl, over HTTP or in
 // process, runs through CrawlApp, so the paper's ~37%/~19%
-// permission-crawl coverage (§2.3) is a live observable either way:
+// permission-crawl coverage (§2.3) is a live observable either way.
+// Attempts count fetches made; the other per-kind families count surface
+// outcomes. The feed rides the summary's fetch (one node read), so
+// attempts{kind="feed"} does not move while its outcomes still do:
 //
-//	frappe_crawl_attempts_total{kind}       one per surface fetch made
-//	frappe_crawl_successes_total{kind}      fetches that yielded data
+//	frappe_crawl_attempts_total{kind}       one per fetch made
+//	frappe_crawl_successes_total{kind}      surfaces that yielded data
 //	frappe_crawl_failures_total{kind}       terminal failures (incl. deleted)
-//	frappe_crawl_not_crawlable_total{kind}  install flows automation can't drive
+//	frappe_crawl_not_crawlable_total{kind}  surfaces automation can't drive
 //	frappe_crawl_deleted_total              apps gone from the graph
 //	frappe_crawl_apps_total                 apps fully crawled
 //	frappe_crawl_app_duration_seconds       per-app wall clock (histogram)

@@ -232,6 +232,53 @@ func (p *Platform) Lookup(id string) (*App, error) {
 	return app.clone(), nil
 }
 
+// Profile is an app's public Graph-API node: its summary fields, its
+// latest monthly-active-user sample and the first posts of its profile
+// feed.
+type Profile struct {
+	ID          string
+	Name        string
+	Description string
+	Company     string
+	Category    string
+	// MAU is the latest sample of the app's MAU series, 0 when it is empty.
+	MAU  int
+	Feed []ProfilePost
+}
+
+// Profile reads an app's public node under Lookup's visibility rules. It
+// copies only what the node serves: the summary fields and, as with
+// strings.SplitN's n, at most posts posts when posts > 0, none when
+// posts == 0 and the whole feed when posts < 0. So its cost does not grow
+// with the feed it does not serve.
+func (p *Platform) Profile(id string, posts int) (Profile, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	app, ok := p.apps[id]
+	if !ok {
+		return Profile{}, ErrAppNotFound
+	}
+	if app.Deleted {
+		return Profile{}, ErrAppDeleted
+	}
+	prof := Profile{
+		ID:          app.ID,
+		Name:        app.Name,
+		Description: app.Description,
+		Company:     app.Company,
+		Category:    app.Category,
+	}
+	if n := len(app.MAU); n > 0 {
+		prof.MAU = app.MAU[n-1]
+	}
+	feed := app.ProfileFeed
+	if posts >= 0 && posts < len(feed) {
+		feed = feed[:posts]
+	}
+	prof.Feed = append([]ProfilePost(nil), feed...)
+	return prof, nil
+}
+
 // InstallInfo models following the installation URL: Facebook queries the
 // app server and redirects the user to a URL carrying the permission set,
 // the redirect URI, and — crucially — the client_id chosen by the app

@@ -3,6 +3,7 @@ package fbplatform
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -308,5 +309,49 @@ func TestReadAPISnapshots(t *testing.T) {
 	}
 	if again.Name != "Original" || again.Permissions[0] != PermPublishStream || again.MAU[0] != 5 {
 		t.Errorf("registry state leaked through snapshot: %+v", again)
+	}
+}
+
+// TestProfile: Profile applies Lookup's visibility rules and copies the
+// summary fields, the latest MAU sample and, as strings.SplitN counts,
+// the whole feed for posts < 0, none for 0 and at most N for N > 0. The
+// posts it returns are the caller's own.
+func TestProfile(t *testing.T) {
+	p := New(10)
+	a := newApp("7", "Seven")
+	a.Description, a.Company, a.Category = "d", "c", "Games"
+	a.MAU = []int{3, 9, 4}
+	a.ProfileFeed = []ProfilePost{{Message: "a", Month: 1}, {Message: "b", Link: "http://b.example/", Month: 2}, {Message: "c"}}
+	if err := p.Register(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Register(newApp("8", "Gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete("8"); err != nil {
+		t.Fatal(err)
+	}
+	for posts, want := range map[int]int{-1: 3, 0: 0, 1: 1, 2: 2, 3: 3, 9: 3} {
+		prof, err := p.Profile("7", posts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof.ID != "7" || prof.Name != "Seven" || prof.Description != "d" || prof.Company != "c" || prof.Category != "Games" || prof.MAU != 4 {
+			t.Errorf("Profile(7, %d) = %+v", posts, prof)
+		}
+		if !reflect.DeepEqual(prof.Feed, a.ProfileFeed[:want]) && !(want == 0 && len(prof.Feed) == 0) {
+			t.Errorf("Profile(7, %d) feed = %+v, want the first %d posts", posts, prof.Feed, want)
+		}
+	}
+	prof, _ := p.Profile("7", -1)
+	prof.Feed[0].Message = "mutated"
+	if again, _ := p.Profile("7", 1); again.Feed[0].Message != "a" {
+		t.Errorf("a caller's mutation reached the registry: %+v", again.Feed)
+	}
+	if _, err := p.Profile("8", 1); err != ErrAppDeleted {
+		t.Errorf("Profile(deleted) err = %v, want ErrAppDeleted", err)
+	}
+	if _, err := p.Profile("404", 1); err != ErrAppNotFound {
+		t.Errorf("Profile(unknown) err = %v, want ErrAppNotFound", err)
 	}
 }

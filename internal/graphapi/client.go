@@ -61,35 +61,34 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	return resp.Body, nil
 }
 
-// Summary fetches the app summary for id.
-func (c *Client) Summary(ctx context.Context, id string) (*Summary, error) {
-	body, err := c.get(ctx, "/"+url.PathEscape(id))
-	if err != nil {
-		return nil, err
-	}
-	var s Summary
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, fmt.Errorf("graphapi: decoding summary: %w", err)
-	}
-	return &s, nil
+// Node is an app's Graph-API node as the crawler reads it: the summary
+// and the first posts of the profile feed.
+type Node struct {
+	Summary *Summary
+	Feed    []FeedPost
 }
 
-// Feed fetches the first limit posts on the app's profile page, or all
-// of them when limit <= 0.
-func (c *Client) Feed(ctx context.Context, id string, limit int) ([]FeedPost, error) {
-	path := "/" + url.PathEscape(id) + "/feed"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
+// Node fetches app id's summary and its profile feed's first feedLimit
+// posts, or the whole feed when feedLimit <= 0, in one request: the
+// Graph API's field expansion, ?fields=<the summary's fields>,feed.limit(N).
+// A document without the feed is a decoding error.
+func (c *Client) Node(ctx context.Context, id string, feedLimit int) (Node, error) {
+	path := "/" + url.PathEscape(id) + "?fields=" + summaryFields + ",feed"
+	if feedLimit > 0 {
+		path += ".limit(" + strconv.Itoa(feedLimit) + ")"
 	}
 	body, err := c.get(ctx, path)
 	if err != nil {
-		return nil, err
+		return Node{}, err
 	}
-	var doc feedDoc
+	var doc nodeDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("graphapi: decoding feed: %w", err)
+		return Node{}, fmt.Errorf("graphapi: decoding node: %w", err)
 	}
-	return doc.Data, nil
+	if doc.Feed == nil {
+		return Node{}, errors.New("graphapi: decoding node: the document has no feed")
+	}
+	return Node{Summary: &doc.Summary, Feed: doc.Feed.Data}, nil
 }
 
 // Install reads the client_id, permission set, and redirect URI from the

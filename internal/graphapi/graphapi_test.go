@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -65,14 +67,17 @@ func newTestWorld(t *testing.T) (*fbplatform.Platform, *Client, func()) {
 	return p, &Client{BaseURL: srv.URL}, srv.Close
 }
 
+// TestSummary: the node read's summary carries the app's fields and its
+// latest MAU sample.
 func TestSummary(t *testing.T) {
 	_, c, done := newTestWorld(t)
 	defer done()
 
-	s, err := c.Summary(context.Background(), "102452128776")
+	n, err := c.Node(context.Background(), "102452128776", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := n.Summary
 	if s.Name != "FarmVille" || s.Company != "Zynga" || s.Category != "Games" {
 		t.Errorf("summary = %+v", s)
 	}
@@ -83,11 +88,11 @@ func TestSummary(t *testing.T) {
 		t.Errorf("Link = %q", s.Link)
 	}
 	// Malicious app with empty summary fields.
-	m, err := c.Summary(context.Background(), "235597333185870")
+	n, err = c.Node(context.Background(), "235597333185870", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Description != "" || m.Company != "" || m.Category != "" {
+	if m := n.Summary; m.Description != "" || m.Company != "" || m.Category != "" {
 		t.Errorf("malicious summary should be empty: %+v", m)
 	}
 }
@@ -106,40 +111,44 @@ func TestDeletedReturnsFalseBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "false" {
 		t.Errorf("deleted app: status=%d body=%q", resp.StatusCode, body)
 	}
-	// Client maps it to ErrDeleted.
-	if _, err := c.Summary(context.Background(), "999"); !errors.Is(err, ErrDeleted) {
-		t.Errorf("Summary(deleted) err = %v", err)
-	}
-	if _, err := c.Feed(context.Background(), "999", 1); !errors.Is(err, ErrDeleted) {
-		t.Errorf("Feed(deleted) err = %v", err)
+	// Client maps it to ErrDeleted, at any feed limit.
+	for _, limit := range []int{0, 1} {
+		if _, err := c.Node(context.Background(), "999", limit); !errors.Is(err, ErrDeleted) {
+			t.Errorf("Node(deleted, %d) err = %v", limit, err)
+		}
 	}
 	if _, err := c.Install(context.Background(), "999"); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Install(deleted) err = %v", err)
 	}
 	// Unknown apps behave like deleted ones on the public API.
-	if _, err := c.Summary(context.Background(), "does-not-exist"); !errors.Is(err, ErrDeleted) {
-		t.Errorf("Summary(unknown) err = %v", err)
+	if _, err := c.Node(context.Background(), "does-not-exist", 1); !errors.Is(err, ErrDeleted) {
+		t.Errorf("Node(unknown) err = %v", err)
 	}
 }
 
+// TestFeed: the node read brings the whole feed at limit 0 and its first
+// posts at a positive limit.
 func TestFeed(t *testing.T) {
 	_, c, done := newTestWorld(t)
 	defer done()
 
-	posts, err := c.Feed(context.Background(), "102452128776", 0)
+	n, err := c.Node(context.Background(), "102452128776", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(posts) != 2 || posts[0].Message != "New crops this week!" {
+	if posts := n.Feed; len(posts) != 2 || posts[0].Message != "New crops this week!" {
 		t.Errorf("feed = %+v", posts)
 	}
+	if n, err = c.Node(context.Background(), "102452128776", 1); err != nil || len(n.Feed) != 1 {
+		t.Errorf("feed at limit 1 = %+v, %v; want its first post", n.Feed, err)
+	}
 	// Empty profile feed is an empty list, not an error.
-	empty, err := c.Feed(context.Background(), "235597333185870", 1)
+	n, err = c.Node(context.Background(), "235597333185870", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(empty) != 0 {
-		t.Errorf("expected empty feed, got %+v", empty)
+	if len(n.Feed) != 0 {
+		t.Errorf("expected empty feed, got %+v", n.Feed)
 	}
 }
 
@@ -323,9 +332,9 @@ func TestUnknownPath(t *testing.T) {
 // cover what a Location parse can get wrong: redirect URIs holding a
 // query, an escaped slash, a plus, a space, a fragment or non-ASCII
 // text, an app with no permissions, and client IDs that differ from the
-// app ID. The feed is compared at limits 0 (the whole feed), 1 and 2,
-// on apps with 0, 1, 2, 3 and 900 posts, and a limited feed must be the
-// whole feed's first posts.
+// app ID. The node read is compared at feed limits 0 (the whole feed), 1
+// and 2, on apps with 0, 1, 2, 3 and 900 posts, and a limited feed must
+// be the whole feed's first posts.
 func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 	p, c, done := newTestWorld(t)
 	defer done()
@@ -368,21 +377,17 @@ func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 			t.Errorf("%s %s: Local %+v, Client %+v", id, surface, lv, cv)
 		}
 	}
-	emptyAsNil := func(posts []FeedPost) []FeedPost {
-		if len(posts) == 0 {
-			return nil
+	emptyAsNil := func(n Node) Node {
+		if len(n.Feed) == 0 {
+			n.Feed = nil
 		}
-		return posts
+		return n
 	}
 	for _, id := range ids {
-		ls, lerr := local.Summary(ctx, id)
-		cs, cerr := c.Summary(ctx, id)
-		same(id, "summary", ls, cs, lerr, cerr)
-
 		for _, limit := range []int{0, 1, 2} {
-			lf, lerr := local.Feed(ctx, id, limit)
-			cf, cerr := c.Feed(ctx, id, limit)
-			same(id, fmt.Sprintf("feed at limit %d", limit), emptyAsNil(lf), emptyAsNil(cf), lerr, cerr)
+			ln, lerr := local.Node(ctx, id, limit)
+			cn, cerr := c.Node(ctx, id, limit)
+			same(id, fmt.Sprintf("node at feed limit %d", limit), emptyAsNil(ln), emptyAsNil(cn), lerr, cerr)
 		}
 
 		li, lerr := local.Install(ctx, id)
@@ -395,21 +400,213 @@ func TestLocalAnswersWhatClientDecodes(t *testing.T) {
 		}
 		same(id, "install", li, ci, lerr, cerr)
 	}
-	if s, err := local.Summary(ctx, "102452128776"); err != nil || s.Name != "FarmVille" {
-		t.Errorf("Local summary of the live app = %+v, %v", s, err)
+	if n, err := local.Node(ctx, "102452128776", 1); err != nil || n.Summary.Name != "FarmVille" || len(n.Feed) != 1 {
+		t.Errorf("Local node of the live app = %+v, %v", n, err)
 	}
 	if _, err := local.Install(ctx, "999"); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Local install of the deleted app: err %v, want ErrDeleted", err)
 	}
 	for id, n := range map[string]int{"51": 1, "53": 3, "59": 900} {
-		whole, err := local.Feed(ctx, id, 0)
-		if err != nil || len(whole) != n {
-			t.Fatalf("Local feed of %s: %d posts, %v; want %d", id, len(whole), err, n)
+		whole, err := local.Node(ctx, id, 0)
+		if err != nil || len(whole.Feed) != n {
+			t.Fatalf("Local feed of %s: %d posts, %v; want %d", id, len(whole.Feed), err, n)
 		}
 		for _, limit := range []int{1, 2} {
-			if f, err := local.Feed(ctx, id, limit); err != nil || !reflect.DeepEqual(f, whole[:min(limit, n)]) {
-				t.Errorf("Local feed of %s at limit %d: %d posts, %v; want the first %d", id, limit, len(f), err, min(limit, n))
+			if f, err := local.Node(ctx, id, limit); err != nil || !reflect.DeepEqual(f.Feed, whole.Feed[:min(limit, n)]) {
+				t.Errorf("Local feed of %s at limit %d: %d posts, %v; want the first %d", id, limit, len(f.Feed), err, min(limit, n))
 			}
+		}
+	}
+}
+
+// TestNodeFields: the node route reads the Graph API's fields parameter.
+// Without it, and with summary names only, the document is the summary
+// in today's bytes. With feed or feed.limit(N) listed it carries the feed
+// document under "feed": the whole feed, the first N posts, or [] when
+// there are none. Any other list, and a query that does not decode,
+// answers 400 with the Graph API's error document, before the app is
+// looked up; a deleted app answers false to a valid list.
+func TestNodeFields(t *testing.T) {
+	_, c, done := newTestWorld(t)
+	defer done()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	const summary = `{"id":"102452128776","name":"FarmVille","description":"Farm with your friends","company":"Zynga","category":"Games",` +
+		`"link":"https://www.facebook.com/apps/application.php?id=102452128776","monthly_active_users":26500000`
+	const post1 = `{"message":"New crops this week!","created_time":3}`
+	const post2 = `{"message":"Maintenance tonight","created_time":4}`
+	for _, tc := range []struct{ path, want string }{
+		{"/102452128776", summary + "}\n"},
+		{"/102452128776?fields=id", summary + "}\n"},
+		{"/102452128776?fields=" + summaryFields, summary + "}\n"},
+		{"/102452128776?fields=id,id,name", summary + "}\n"},
+		{"/102452128776?fields=feed", summary + `,"feed":{"data":[` + post1 + "," + post2 + "]}}\n"},
+		{"/102452128776?fields=feed.limit(1),name", summary + `,"feed":{"data":[` + post1 + "]}}\n"},
+		{"/102452128776?fields=" + summaryFields + ",feed.limit(1)", summary + `,"feed":{"data":[` + post1 + "]}}\n"},
+		{"/102452128776?fields=feed.limit(%2B5)", summary + `,"feed":{"data":[` + post1 + "," + post2 + "]}}\n"},
+		{"/235597333185870?fields=id,feed.limit(1)", `{"id":"235597333185870","name":"What Does Your Name Mean?",` +
+			`"link":"https://www.facebook.com/apps/application.php?id=235597333185870","monthly_active_users":0,"feed":{"data":[]}}` + "\n"},
+		{"/999?fields=id,feed.limit(1)", "false"},
+		{"/does-not-exist?fields=feed", "false"},
+	} {
+		if status, body := get(tc.path); status != http.StatusOK || body != tc.want {
+			t.Errorf("%s: status %d, body %q; want 200, %q", tc.path, status, body, tc.want)
+		}
+	}
+	for _, fields := range []string{
+		"likes", "ID", "", ",", "id,,name", "id,", "id, name", "feed,feed", "feed,feed.limit(1)", "feed.limit(1),feed.limit(2)",
+		"feed.limit(0)", "feed.limit(-1)", "feed.limit(x)", "feed.limit(1.5)", "feed.limit()", "feed.limit(99999999999999999999)",
+		"feed.limit(1", "feed.limit(1))", "feed.limit(1){message}", "feed{message}",
+	} {
+		for _, id := range []string{"102452128776", "999"} {
+			path := "/" + id + "?fields=" + url.QueryEscape(fields)
+			status, body := get(path)
+			var doc struct {
+				Error struct {
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal([]byte(body), &doc); err != nil || status != http.StatusBadRequest || doc.Error.Message == "" {
+				t.Errorf("%s: status %d, body %q; want 400 with an error message", path, status, body)
+			}
+		}
+	}
+	if status, _ := get("/102452128776?fields=%zz"); status != http.StatusBadRequest {
+		t.Errorf("undecodable query: status %d, want 400", status)
+	}
+}
+
+// TestNodeWithoutFeedIsAnError: Client.Node asks for the feed, so a node
+// document without one is a decoding error, not an empty feed, and not a
+// deletion.
+func TestNodeWithoutFeedIsAnError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"id":"7","name":"No feed","link":"x","monthly_active_users":3}`)
+	}))
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL, HTTP: httpx.New(httpx.Config{MaxAttempts: 1, Telemetry: telemetry.New()})}
+	if n, err := c.Node(context.Background(), "7", 1); err == nil || errors.Is(err, ErrDeleted) {
+		t.Errorf("Node = %+v, %v; want a decoding error", n, err)
+	}
+}
+
+// TestNodeReadCopiesWhatItServes: a feed.limit(1) node read of an app
+// with 900 posts allocates no more, in count and within 1 KB in bytes,
+// than one of an app with one post: the simulator copies only the posts
+// it serves, not the app's whole feed.
+func TestNodeReadCopiesWhatItServes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are not comparable under the race detector")
+	}
+	p := fbplatform.New(0)
+	for id, n := range map[string]int{"1": 1, "9": 900} {
+		app := &fbplatform.App{ID: id, Name: "Chatty", Truth: fbplatform.Truth{HackerID: -1}, ProfileFeed: make([]fbplatform.ProfilePost, n)}
+		for i := range app.ProfileFeed {
+			app.ProfileFeed[i] = fbplatform.ProfilePost{Message: "the same post", Link: "http://p.example/", Month: 2}
+		}
+		if err := p.Register(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer(p)
+	read := func(id string) func() {
+		req := httptest.NewRequest(http.MethodGet, "/"+id+"?fields="+summaryFields+",feed.limit(1)", nil)
+		return func() { srv.ServeHTTP(httptest.NewRecorder(), req) }
+	}
+	const runs = 200
+	bytesPerRun := func(f func()) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	one, many := testing.AllocsPerRun(runs, read("1")), testing.AllocsPerRun(runs, read("9"))
+	if many > one {
+		t.Errorf("a feed.limit(1) read allocates %.1f times for 900 posts, %.1f for 1", many, one)
+	}
+	oneB, manyB := bytesPerRun(read("1")), bytesPerRun(read("9"))
+	if manyB > oneB+1024 {
+		t.Errorf("a feed.limit(1) read allocates %.0f bytes for 900 posts, %.0f for 1", manyB, oneB)
+	}
+}
+
+// TestReadsRaceDelete: the node route, the feed route and Local.Node read
+// apps while Platform.Delete removes them. Under -race nothing races;
+// every read answers the app or the deleted signal, and once the apps are
+// deleted every read answers deleted.
+func TestReadsRaceDelete(t *testing.T) {
+	p := fbplatform.New(0)
+	const apps = 8
+	for i := 0; i < apps; i++ {
+		app := &fbplatform.App{ID: fmt.Sprint(i), Name: "Racy", MAU: []int{1, 2}, Truth: fbplatform.Truth{HackerID: -1},
+			ProfileFeed: []fbplatform.ProfilePost{{Message: "a"}, {Message: "b"}, {Message: "c"}}}
+		if err := p.Register(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, local := NewServer(p), Local{Platform: p}
+	read := func(id string) {
+		for _, path := range []string{"/" + id + "?fields=id,feed.limit(1)", "/" + id + "/feed?limit=2", "/" + id} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+				t.Errorf("%s: status %d, body %q", path, rec.Code, rec.Body)
+			}
+		}
+		if n, err := local.Node(context.Background(), id, 1); err == nil && len(n.Feed) != 1 || err != nil && !errors.Is(err, ErrDeleted) {
+			t.Errorf("Local node of %s: %+v, %v", id, n, err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 200; i++ {
+				read(fmt.Sprint(i % apps))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < apps; i++ {
+			if err := p.Delete(fmt.Sprint(i)); err != nil {
+				t.Errorf("Delete: %v", err)
+			}
+			runtime.Gosched()
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i := 0; i < apps; i++ {
+		id := fmt.Sprint(i)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/"+id+"?fields=feed", nil))
+		if body := rec.Body.String(); body != "false" {
+			t.Errorf("deleted app %s: node body %q, want false", id, body)
+		}
+		if _, err := local.Node(context.Background(), id, 0); !errors.Is(err, ErrDeleted) {
+			t.Errorf("deleted app %s: Local node err %v, want ErrDeleted", id, err)
 		}
 	}
 }

@@ -6,31 +6,26 @@ import (
 	"frappe/internal/fbplatform"
 )
 
-// Local answers Client's three crawl reads in process, from the same
-// documents Server encodes, with the same deleted-app signal: the dataset
-// build and the §5.3 sweep crawl a whole world through it without sockets.
+// Local answers Client's crawl reads in process, from the same documents
+// Server encodes, with the same deleted-app signal: the dataset build and
+// the §5.3 sweep crawl a whole world through it without sockets.
 type Local struct {
 	Platform *fbplatform.Platform
 }
 
-// Summary returns the app's summary, or ErrDeleted.
-func (l Local) Summary(_ context.Context, id string) (*Summary, error) {
-	app, err := l.Platform.Lookup(id)
-	if err != nil {
-		return nil, ErrDeleted
+// Node returns the app's summary and its profile feed's first feedLimit
+// posts, or the whole feed when feedLimit <= 0, from one platform read;
+// or ErrDeleted.
+func (l Local) Node(_ context.Context, id string, feedLimit int) (Node, error) {
+	if feedLimit <= 0 {
+		feedLimit = -1
 	}
-	s := summaryOf(app)
-	return &s, nil
-}
-
-// Feed returns the first limit posts on the app's profile page, or all
-// of them when limit <= 0, or ErrDeleted.
-func (l Local) Feed(_ context.Context, id string, limit int) ([]FeedPost, error) {
-	app, err := l.Platform.Lookup(id)
+	prof, err := l.Platform.Profile(id, feedLimit)
 	if err != nil {
-		return nil, ErrDeleted
+		return Node{}, ErrDeleted
 	}
-	return feedOf(app, limit).Data, nil
+	s := summaryOf(prof)
+	return Node{Summary: &s, Feed: feedOf(prof.Feed).Data}, nil
 }
 
 // Install returns the parameters the install redirect carries, or

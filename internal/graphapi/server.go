@@ -2,6 +2,10 @@
 // three surfaces the paper's crawlers hit (§2.3, Table 4):
 //
 //	GET /{appID}                       — app summary (Open Graph API)
+//	GET /{appID}?fields=…,feed.limit(N) — the summary with its profile
+//	                                     feed's first N posts under "feed",
+//	                                     the Graph API's field expansion;
+//	                                     `feed` alone expands the whole feed
 //	GET /{appID}/feed                  — posts on the app's profile page
 //	GET /{appID}/feed?limit=N          — its first N posts (N a positive
 //	                                     integer; any other value is a 400)
@@ -11,6 +15,13 @@
 //	                                     the permission set, and the
 //	                                     redirect URI, which Client reads
 //	                                     without fetching it
+//
+// The node's fields parameter may list the summary's own names
+// (summaryFields) and one of feed and feed.limit(N); any other list is a
+// 400. Deviation: the real Graph API serves only the fields listed, while
+// the simulator serves the whole summary whichever of its names are
+// listed. Client lists them all, so it reads the same document either
+// way.
 //
 // Faithful quirk: like the 2012 Graph API, summary and feed lookups for
 // apps that have been removed from the Facebook graph return HTTP 200 with
@@ -54,6 +65,19 @@ type feedDoc struct {
 	Data []FeedPost `json:"data"`
 }
 
+// nodeDoc is the node document: the summary's fields and, when the
+// request's fields list the feed, the feed document under "feed".
+// Without the feed it encodes exactly as Summary does.
+type nodeDoc struct {
+	Summary
+	Feed *feedDoc `json:"feed,omitempty"`
+}
+
+// summaryFields lists the summary's own field names, as a node request's
+// fields parameter names them (isSummaryField). Client asks for all of
+// them.
+const summaryFields = "id,name,description,company,category,link,monthly_active_users"
+
 // Server serves the Graph API for one Platform.
 type Server struct {
 	Platform *fbplatform.Platform
@@ -84,7 +108,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasSuffix(path, "/feed"):
 		s.serveFeed(w, r, strings.TrimSuffix(path, "/feed"))
 	case path != "" && !strings.Contains(path, "/"):
-		s.serveSummary(w, r, path)
+		s.serveNode(w, r, path)
 	default:
 		http.NotFound(w, r)
 	}
@@ -97,30 +121,21 @@ func writeFalse(w http.ResponseWriter) {
 }
 
 // summaryOf is the summary document for a live app.
-func summaryOf(app *fbplatform.App) Summary {
-	mau := 0
-	if len(app.MAU) > 0 {
-		mau = app.MAU[len(app.MAU)-1]
-	}
+func summaryOf(p fbplatform.Profile) Summary {
 	return Summary{
-		ID:                 app.ID,
-		Name:               app.Name,
-		Description:        app.Description,
-		Company:            app.Company,
-		Category:           app.Category,
-		Link:               "https://www.facebook.com/apps/application.php?id=" + app.ID,
-		MonthlyActiveUsers: mau,
+		ID:                 p.ID,
+		Name:               p.Name,
+		Description:        p.Description,
+		Company:            p.Company,
+		Category:           p.Category,
+		Link:               "https://www.facebook.com/apps/application.php?id=" + p.ID,
+		MonthlyActiveUsers: p.MAU,
 	}
 }
 
-// feedOf is the profile-feed document for a live app: its first limit
-// posts, or all of them when limit <= 0. An empty feed is an empty list,
-// not null.
-func feedOf(app *fbplatform.App, limit int) feedDoc {
-	posts := app.ProfileFeed
-	if limit > 0 && limit < len(posts) {
-		posts = posts[:limit]
-	}
+// feedOf is the profile-feed document of a live app's posts. An empty
+// feed is an empty list, not null.
+func feedOf(posts []fbplatform.ProfilePost) feedDoc {
 	doc := feedDoc{Data: make([]FeedPost, 0, len(posts))}
 	for _, p := range posts {
 		doc.Data = append(doc.Data, FeedPost{Message: p.Message, Link: p.Link, CreatedTime: p.Month})
@@ -128,48 +143,133 @@ func feedOf(app *fbplatform.App, limit int) feedDoc {
 	return doc
 }
 
-func (s *Server) serveSummary(w http.ResponseWriter, _ *http.Request, id string) {
-	app, err := s.Platform.Lookup(id)
-	if err != nil {
-		writeFalse(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(summaryOf(app))
-}
-
-func (s *Server) serveFeed(w http.ResponseWriter, r *http.Request, id string) {
-	limit, err := feedLimit(r.URL.RawQuery)
+// serveNode answers an app's node: its summary and, when the fields
+// parameter lists the feed, the feed's first posts as well.
+func (s *Server) serveNode(w http.ResponseWriter, r *http.Request, id string) {
+	posts, err := nodePosts(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	app, err := s.Platform.Lookup(id)
+	prof, err := s.Platform.Profile(id, posts)
+	if err != nil {
+		writeFalse(w)
+		return
+	}
+	doc := nodeDoc{Summary: summaryOf(prof)}
+	if posts != 0 {
+		feed := feedOf(prof.Feed)
+		doc.Feed = &feed
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(doc)
+}
+
+func (s *Server) serveFeed(w http.ResponseWriter, r *http.Request, id string) {
+	posts, err := feedPosts(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	prof, err := s.Platform.Profile(id, posts)
 	if err != nil {
 		writeFalse(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(feedOf(app, limit))
+	json.NewEncoder(w).Encode(feedOf(prof.Feed))
 }
 
-// feedLimit reads the feed's limit parameter: 0 (the whole feed) when
-// the query has none, a positive integer otherwise. A query that does not
-// decode is an error too, so an undecodable limit is not read as none.
-func feedLimit(rawQuery string) (int, error) {
-	q, err := url.ParseQuery(rawQuery)
-	if err != nil {
-		return 0, fmt.Errorf("malformed query: %w", err)
+// The request parsers below answer in Platform.Profile's post count: -1
+// for the whole feed, 0 for none, N for the first N posts.
+
+// feedPosts reads the feed route's limit parameter: the whole feed when
+// the query has none, a positive integer otherwise.
+func feedPosts(rawQuery string) (int, error) {
+	v, ok, err := queryParam(rawQuery, "limit")
+	if err != nil || !ok {
+		return -1, err
 	}
-	v, ok := q["limit"]
-	if !ok {
-		return 0, nil
+	return positiveLimit(v)
+}
+
+// nodePosts reads the node route's fields parameter: no posts when the
+// query has none, otherwise what parseFields reads from it.
+func nodePosts(rawQuery string) (int, error) {
+	v, ok, err := queryParam(rawQuery, "fields")
+	if err != nil || !ok {
+		return 0, err
 	}
-	n, err := strconv.Atoi(v[0])
+	return parseFields(v)
+}
+
+// parseFields reads a fields list: comma-separated summary names
+// (summaryFields) and at most one feed entry, either feed (the whole
+// feed) or feed.limit(N) (its first N posts, N read as the feed route's
+// limit). An empty list, an empty or unknown name, or a second feed entry
+// is an error.
+func parseFields(list string) (posts int, err error) {
+	if list == "" {
+		return 0, errors.New("fields lists no field")
+	}
+	for more := true; more; {
+		var name string
+		name, list, more = strings.Cut(list, ",")
+		if isSummaryField(name) {
+			continue
+		}
+		arg, isLimit := strings.CutPrefix(name, "feed.limit(")
+		if isLimit {
+			arg, isLimit = strings.CutSuffix(arg, ")")
+		}
+		if name != "feed" && !isLimit {
+			return 0, fmt.Errorf("unknown field %q", name)
+		}
+		if posts != 0 {
+			return 0, errors.New("fields lists the feed twice")
+		}
+		posts = -1
+		if isLimit {
+			if posts, err = positiveLimit(arg); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return posts, nil
+}
+
+// isSummaryField reports whether name is one of summaryFields.
+func isSummaryField(name string) bool {
+	switch name {
+	case "id", "name", "description", "company", "category", "link", "monthly_active_users":
+		return true
+	}
+	return false
+}
+
+// positiveLimit reads a feed limit, of /feed?limit=N and of
+// fields=feed.limit(N) alike: a positive integer.
+func positiveLimit(v string) (int, error) {
+	n, err := strconv.Atoi(v)
 	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("limit must be a positive integer, not %q", v[0])
+		return 0, fmt.Errorf("limit must be a positive integer, not %q", v)
 	}
 	return n, nil
+}
+
+// queryParam reads the first value of the query parameter key. A query
+// that does not decode is an error, so that an undecodable parameter is
+// not read as an absent one.
+func queryParam(rawQuery, key string) (v string, ok bool, err error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return "", false, fmt.Errorf("malformed query: %w", err)
+	}
+	vs, ok := q[key]
+	if !ok {
+		return "", false, nil
+	}
+	return vs[0], true, nil
 }
 
 // serveInstall models visiting the installation URL: Facebook consults the

@@ -51,9 +51,9 @@ func TestStartServesAllServices(t *testing.T) {
 	if liveID == "" {
 		t.Fatal("no live benign app")
 	}
-	s, err := graph.Summary(context.Background(), liveID)
-	if err != nil || s.Name == "" {
-		t.Errorf("graph Summary = %+v, %v", s, err)
+	n, err := graph.Node(context.Background(), liveID, 1)
+	if err != nil || n.Summary.Name == "" {
+		t.Errorf("graph Node = %+v, %v", n, err)
 	}
 	if score, err := wotc.Score(context.Background(), "apps.facebook.com"); err != nil || score < 80 {
 		t.Errorf("WOT Score = %d, %v", score, err)

@@ -453,3 +453,24 @@ func TestReloaderRejectsCorruptAndInvalidCandidates(t *testing.T) {
 		t.Errorf("refused reload status = %d, want 502", resp.StatusCode)
 	}
 }
+
+// TestFileModelHasOneModelID: watchdogs built from one classifier, such as
+// replicas serving one -model file, report one ModelID. fileManifest
+// content-addresses the classifier's Save bytes, so this holds only if
+// one classifier has one encoding.
+func TestFileModelHasOneModelID(t *testing.T) {
+	clf := trainedClassifier(t)
+	var first string
+	for i := 0; i < 5; i++ {
+		wd, err := NewWatchdogWith(clf, WatchdogConfig{GraphURL: "http://127.0.0.1:9", WOTURL: "http://127.0.0.1:9"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := wd.ServingManifest().ModelID()
+		if i == 0 {
+			first = id
+		} else if id != first {
+			t.Fatalf("watchdog %d reports model %s, the first %s", i+1, id, first)
+		}
+	}
+}
